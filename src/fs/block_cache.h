@@ -14,13 +14,13 @@
 //   * Per-file version numbers let a client flush stale blocks when the
 //     server reports a newer version at open time.
 //
-// Hot-path layout: the LRU chain is intrusive (prev/next pointers embedded
-// in the map entries — no separate std::list of keys), the per-file block
-// index is a sorted vector inside one FileState per file (no per-block
-// tree nodes), and files with dirty blocks are tracked in a small ordered
-// set so the 5-second cleaner daemon scans only dirty files instead of the
-// whole cache. A 128-MB server cache holds ~32K blocks; scanning all of
-// them every 5 simulated seconds used to dominate the simulator's CPU.
+// Hot-path layout: one index. Entries live in a slab (vector + free list),
+// chained into the intrusive LRU by 32-bit slot number. Each file's
+// FileState maps block index -> slot through a dense vector spanning just
+// its resident blocks: a lookup is one hash probe plus an array index, and
+// evicting a sequentially read file's lowest block clears one slot. Files
+// with dirty blocks sit in a small ordered set, so the 5-second cleaner
+// scans only dirty files, not a whole ~32K-block server cache.
 
 #ifndef SPRITE_DFS_SRC_FS_BLOCK_CACHE_H_
 #define SPRITE_DFS_SRC_FS_BLOCK_CACHE_H_
@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -62,7 +63,7 @@ class BlockCache {
   using WritebackFn = std::function<void(BlockKey key, int64_t bytes)>;
 
   // --- Size management -----------------------------------------------------
-  int64_t block_count() const { return static_cast<int64_t>(entries_.size()); }
+  int64_t block_count() const { return block_count_; }
   int64_t size_bytes() const { return block_count() * kBlockSize; }
   int64_t limit_blocks() const { return limit_blocks_; }
   // Raises or lowers the limit; lowering does not evict immediately (the
@@ -71,24 +72,24 @@ class BlockCache {
 
   // --- Read path -----------------------------------------------------------
   // True if the block is resident (does not touch LRU state).
-  bool Contains(BlockKey key) const { return entries_.count(key) != 0; }
+  bool Contains(BlockKey key) const { return Find(key) != kNoSlot; }
   // Read hit check: if resident, refreshes LRU position and returns true.
   bool Lookup(BlockKey key, SimTime now);
 
   // Inserts a block just fetched from the server (clean). Evicts the LRU
   // block(s) if at the size limit; a dirty victim is written back first via
   // `writeback` with CleanReason::kReplacement.
-  void InsertClean(BlockKey key, SimTime now, WritebackFn writeback);
+  void InsertClean(BlockKey key, SimTime now, const WritebackFn& writeback);
 
   // Inserts a block fetched by sequential readahead. Counted as a prefetch;
   // the first later demand Lookup that hits it counts as prefetch_useful.
-  void InsertPrefetched(BlockKey key, SimTime now, WritebackFn writeback);
+  void InsertPrefetched(BlockKey key, SimTime now, const WritebackFn& writeback);
 
   // --- Write path ----------------------------------------------------------
   // Writes `bytes` into the block ending at in-block offset `end_in_block`
   // (the dirty extent grows to `end_in_block`). Inserts the block if absent.
   // Returns true if the block was already resident.
-  bool Write(BlockKey key, SimTime now, int64_t end_in_block, WritebackFn writeback);
+  bool Write(BlockKey key, SimTime now, int64_t end_in_block, const WritebackFn& writeback);
 
   bool IsDirty(BlockKey key) const;
 
@@ -96,11 +97,12 @@ class BlockCache {
   // The 5-second daemon scan: writes back every dirty block belonging to any
   // file that has at least one block dirty for >= writeback_delay.
   // Returns the number of blocks cleaned.
-  int64_t CleanAged(SimTime now, WritebackFn writeback);
+  int64_t CleanAged(SimTime now, const WritebackFn& writeback);
 
   // Cleans all dirty blocks of `file` for the given reason (fsync, server
   // recall). Returns bytes written back.
-  int64_t CleanFile(uint64_t file, SimTime now, CleanReason reason, WritebackFn writeback);
+  int64_t CleanFile(uint64_t file, SimTime now, CleanReason reason,
+                    const WritebackFn& writeback);
 
   // True if `file` has any dirty block.
   bool HasDirtyBlocks(uint64_t file) const;
@@ -143,7 +145,7 @@ class BlockCache {
   // A dirty victim is written back first (CleanReason::kVm). Also lowers the
   // limit by one block. Returns false if the cache is empty or at its
   // minimum size.
-  bool ReleaseLruToVm(SimTime now, WritebackFn writeback);
+  bool ReleaseLruToVm(SimTime now, const WritebackFn& writeback);
 
   // Grows the limit by one block (a page acquired from the VM system).
   void GrantPageFromVm() { ++limit_blocks_; }
@@ -167,63 +169,71 @@ class BlockCache {
   // Simulates a machine crash + reboot. Every block is dropped and the
   // limit returns to the minimum (rebooted caches start small). Dirty data
   // is LOST unless `nvram_recovery` is provided, in which case it is pushed
-  // through it (non-volatile cache memory surviving the crash). Returns
-  // {lost_bytes, recovered_bytes}.
+  // through it (non-volatile cache memory surviving the crash) in ascending
+  // (file, block) order. Returns {lost_bytes, recovered_bytes}.
   std::pair<int64_t, int64_t> CrashReset(const WritebackFn& nvram_recovery);
 
   const CacheConfig& config() const { return config_; }
 
  private:
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
   struct Entry {
-    BlockKey key;  // embedded: the intrusive LRU chain needs no key list
+    BlockKey key;
     SimTime last_ref = 0;
-    bool prefetched = false;  // inserted by readahead, not yet demanded
+    SimTime dirty_since = 0;      // first write after last clean
+    int32_t dirty_extent = 0;     // bytes from block start covered by writeback
+    uint32_t lru_prev = kNoSlot;  // toward the LRU head (most recent)
+    uint32_t lru_next = kNoSlot;  // toward the tail; the free-list link once freed
+    bool prefetched = false;      // inserted by readahead, not yet demanded
     bool dirty = false;
-    SimTime dirty_since = 0;   // first write after last clean
-    int64_t dirty_extent = 0;  // bytes from block start covered by writeback
-    // Intrusive LRU links (head = most recent, tail = least recent).
-    // unordered_map nodes are pointer-stable, so these survive unrelated
-    // inserts and erases.
-    Entry* lru_prev = nullptr;
-    Entry* lru_next = nullptr;
   };
 
-  // All per-file state in one node: the resident blocks (sorted by index —
-  // the order CleanAged/CleanFile must visit them in), the cached version
-  // (0 = unknown; real server versions start at 1), and a dirty-block count
-  // so cleaners can skip fully clean files without touching their blocks.
+  // One node per file: slots[i] is the slot of block base + i, or kNoSlot.
+  // slots[0, first) are empty and slots[first] and slots.back() are
+  // resident, so slots[first, end) spans exactly the resident blocks in
+  // ascending order. version 0 = unknown (server versions start at 1).
   struct FileState {
-    std::vector<std::pair<int64_t, Entry*>> blocks;  // sorted by block index
+    std::vector<uint32_t> slots;
+    int64_t base = 0;
+    uint32_t first = 0;
+    uint32_t resident = 0;
     uint64_t version = 0;
-    int64_t dirty_count = 0;
+    int64_t dirty_count = 0;  // lets cleaners skip clean files
   };
+  using FileMap = std::unordered_map<uint64_t, FileState>;
 
-  void LruUnlink(Entry* entry);
-  void LruPushFront(Entry* entry);
-  void LruPushBack(Entry* entry);
-  void TouchLru(Entry* entry, SimTime now);
-  // Dirty-flag transitions route through these so the per-file counts and
-  // the dirty-file set stay exact.
-  void MarkDirty(Entry* entry, SimTime now);
-  void MarkClean(Entry* entry);
-  // Writes the block back (if dirty) and erases it. `reason` applies when
-  // dirty.
-  void EvictBlock(Entry* entry, SimTime now, CleanReason reason,
-                  ReplaceReason replace_reason, const WritebackFn& writeback);
-  void CleanBlock(Entry* entry, SimTime now, CleanReason reason, const WritebackFn& writeback);
-  void EraseEntry(Entry* entry);
+  static std::span<const uint32_t> Resident(const FileState& fs) {  // slots[first, end)
+    return std::span<const uint32_t>(fs.slots).subspan(fs.first);
+  }
+  uint32_t Find(BlockKey key) const;
+  // Moves the block to the LRU head, inserting it (evicting first if at the
+  // limit) when absent. Returns its slot.
+  uint32_t FindOrInsert(BlockKey key, SimTime now, const WritebackFn& writeback, bool& inserted);
+  void LruUnlink(uint32_t slot);
+  void LruPushFront(uint32_t slot);
+  void TouchLru(uint32_t slot, SimTime now);
+  void CleanBlock(Entry& entry, FileState& fs, SimTime now, CleanReason reason,
+                  const WritebackFn& writeback);
+  // Writes the LRU tail back if dirty (for `reason`), then erases it.
+  void EvictLruTail(SimTime now, CleanReason reason, ReplaceReason replace_reason,
+                    const WritebackFn& writeback);
+  // Erases the file's blocks and its state; returns the dirty bytes dropped.
+  int64_t EraseFile(FileMap::iterator fit);
+  void FreeSlot(uint32_t slot);
 
   CacheConfig config_;
   CacheCounters* counters_;
   int64_t limit_blocks_;
 
-  std::unordered_map<BlockKey, Entry, BlockKeyHash> entries_;
-  Entry* lru_head_ = nullptr;  // most recent
-  Entry* lru_tail_ = nullptr;  // least recent
-  // file -> blocks/version/dirty count. An entry outlives its blocks only
-  // while it still carries a known version (the old separate version map
-  // behaved the same way).
-  std::unordered_map<uint64_t, FileState> files_;
+  std::vector<Entry> slab_;
+  uint32_t free_head_ = kNoSlot;
+  int64_t block_count_ = 0;
+  uint32_t lru_head_ = kNoSlot;  // most recent
+  uint32_t lru_tail_ = kNoSlot;  // least recent
+  // A FileState outlives its blocks only while it carries a known version,
+  // and then holds no slot vector.
+  FileMap files_;
   // Files with dirty_count > 0, ascending. Small (bounded by the 30-second
   // write-back horizon), and gives cleaners their deterministic file order.
   std::set<uint64_t> dirty_files_;

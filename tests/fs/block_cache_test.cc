@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <list>
+#include <map>
+#include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
+
+#include "src/util/rng.h"
 
 namespace sprite {
 namespace {
@@ -242,6 +251,456 @@ TEST_F(BlockCacheTest, WritebackBytesCounted) {
   cache.Write({1, 1}, 0, kBlockSize, Sink());
   cache.CleanAged(30 * kSecond, Sink());
   EXPECT_EQ(counters_.bytes_written_to_server, 1000 + kBlockSize);
+}
+
+TEST_F(BlockCacheTest, SequentialScanEvictsInAscendingOrder) {
+  // A 3072-block file read through a 1024-block cache: every insertion past
+  // the first 1024 evicts the file's lowest resident block, the pattern that
+  // sequential reads of large files produce at the LRU tail.
+  constexpr int64_t kCacheBlocks = 1024;
+  constexpr int64_t kFileBlocks = 3072;
+  BlockCache cache(SmallConfig(kCacheBlocks, kCacheBlocks), &counters_);
+  for (int64_t b = 0; b < kFileBlocks; ++b) {
+    cache.Write({7, b}, b, kBlockSize, Sink());
+  }
+  constexpr int64_t kVictims = kFileBlocks - kCacheBlocks;
+  ASSERT_EQ(writebacks_.size(), static_cast<size_t>(kVictims));
+  for (int64_t b = 0; b < kVictims; ++b) {
+    ASSERT_EQ(writebacks_[b].first, (BlockKey{7, b})) << "victim " << b;
+    ASSERT_EQ(writebacks_[b].second, kBlockSize);
+  }
+  EXPECT_EQ(counters_.replaced_for_file, kVictims);
+  EXPECT_EQ(counters_.replaced_for_file_age_us, kVictims * kCacheBlocks);
+  EXPECT_EQ(counters_.replaced_for_vm, 0);
+  EXPECT_EQ(counters_.cleaned[static_cast<int>(CleanReason::kReplacement)], kVictims);
+  EXPECT_EQ(counters_.cleaned_age_us[static_cast<int>(CleanReason::kReplacement)],
+            kVictims * kCacheBlocks);
+  EXPECT_EQ(counters_.bytes_written_to_server, kVictims * kBlockSize);
+  EXPECT_EQ(cache.block_count(), kCacheBlocks);
+  EXPECT_EQ(cache.LruAge(kFileBlocks), kCacheBlocks);
+  EXPECT_EQ(cache.DirtyBytes(7), kCacheBlocks * kBlockSize);
+  EXPECT_FALSE(cache.Contains({7, kVictims - 1}));
+  EXPECT_TRUE(cache.Contains({7, kVictims}));
+  EXPECT_TRUE(cache.Contains({7, kFileBlocks - 1}));
+}
+
+// --- Differential test against a reference model ----------------------------
+
+struct KeyLess {
+  bool operator()(const BlockKey& a, const BlockKey& b) const {
+    return std::tie(a.file, a.index) < std::tie(b.file, b.index);
+  }
+};
+
+using WritebackLog = std::vector<std::pair<BlockKey, int64_t>>;
+
+// A deliberately naive cache restated from the header's contract: a
+// std::list LRU (front = most recent) plus an ordered map of blocks, so
+// "ascending block order" and "ascending file order" are just map order.
+class ModelCache {
+ public:
+  explicit ModelCache(const CacheConfig& config) : config_(config), limit_(config.min_blocks) {}
+
+  CacheCounters counters;
+  WritebackLog writebacks;
+
+  int64_t block_count() const { return static_cast<int64_t>(blocks_.size()); }
+  int64_t limit_blocks() const { return limit_; }
+  void set_limit_blocks(int64_t blocks) { limit_ = blocks; }
+  void GrantPageFromVm() { ++limit_; }
+  bool Contains(BlockKey key) const { return blocks_.count(key) != 0; }
+  bool IsDirty(BlockKey key) const {
+    auto it = blocks_.find(key);
+    return it != blocks_.end() && it->second.dirty;
+  }
+
+  bool Lookup(BlockKey key, SimTime now) {
+    auto it = blocks_.find(key);
+    if (it == blocks_.end()) {
+      return false;
+    }
+    if (it->second.prefetched) {
+      it->second.prefetched = false;
+      ++counters.prefetch_useful;
+    }
+    Touch(key, now);
+    return true;
+  }
+
+  void InsertClean(BlockKey key, SimTime now) {
+    if (Contains(key)) {
+      Touch(key, now);
+      return;
+    }
+    while (block_count() >= limit_ && !lru_.empty()) {
+      Evict(now, CleanReason::kReplacement, /*for_vm=*/false);
+    }
+    lru_.push_front(key);
+    blocks_[key] = Block{now, false, false, 0, 0, lru_.begin()};
+  }
+
+  void InsertPrefetched(BlockKey key, SimTime now) {
+    const bool was_resident = Contains(key);
+    InsertClean(key, now);
+    if (!was_resident) {
+      blocks_[key].prefetched = true;
+      ++counters.prefetch_fetches;
+    }
+  }
+
+  bool Write(BlockKey key, SimTime now, int64_t end_in_block) {
+    const bool was_resident = Contains(key);
+    InsertClean(key, now);
+    Block& b = blocks_[key];
+    if (!b.dirty) {
+      b.dirty = true;
+      b.dirty_since = now;
+      b.extent = 0;
+    }
+    b.extent = std::clamp<int64_t>(end_in_block, b.extent, kBlockSize);
+    return was_resident;
+  }
+
+  int64_t CleanAged(SimTime now) {
+    std::vector<uint64_t> due;
+    for (uint64_t file : DirtyFiles()) {
+      for (auto it = Begin(file); it != End(file); ++it) {
+        if (it->second.dirty && now - it->second.dirty_since >= config_.writeback_delay) {
+          due.push_back(file);
+          break;
+        }
+      }
+    }
+    int64_t cleaned = 0;
+    for (uint64_t file : due) {
+      for (auto it = Begin(file); it != End(file); ++it) {
+        if (it->second.dirty) {
+          Clean(*it, now, CleanReason::kDelay);
+          ++cleaned;
+        }
+      }
+    }
+    return cleaned;
+  }
+
+  int64_t CleanFile(uint64_t file, SimTime now, CleanReason reason) {
+    int64_t bytes = 0;
+    for (auto it = Begin(file); it != End(file); ++it) {
+      if (it->second.dirty) {
+        bytes += it->second.extent;
+        Clean(*it, now, reason);
+      }
+    }
+    return bytes;
+  }
+
+  int64_t DirtyBytes(uint64_t file) const {
+    int64_t bytes = 0;
+    for (const auto& [block, extent] : DirtyBlocks(file)) {
+      bytes += extent;
+    }
+    return bytes;
+  }
+
+  std::vector<std::pair<int64_t, int64_t>> DirtyBlocks(uint64_t file) const {
+    std::vector<std::pair<int64_t, int64_t>> out;
+    for (auto it = blocks_.lower_bound({file, 0}); it != blocks_.end() && it->first.file == file;
+         ++it) {
+      if (it->second.dirty) {
+        out.emplace_back(it->first.index, it->second.extent);
+      }
+    }
+    return out;
+  }
+
+  std::vector<uint64_t> DirtyFiles() const {
+    std::vector<uint64_t> files;
+    for (const auto& [key, b] : blocks_) {
+      if (b.dirty && (files.empty() || files.back() != key.file)) {
+        files.push_back(key.file);
+      }
+    }
+    return files;
+  }
+
+  uint64_t CachedVersion(uint64_t file) const {
+    auto it = versions_.find(file);
+    return it == versions_.end() ? 0 : it->second;
+  }
+  void AdoptVersion(uint64_t file, uint64_t version) { versions_[file] = version; }
+
+  bool SyncVersion(uint64_t file, uint64_t server_version) {
+    const uint64_t cached = CachedVersion(file);
+    const bool flush = cached != 0 && cached != server_version && Begin(file) != End(file);
+    if (flush) {
+      InvalidateFile(file);
+    }
+    versions_[file] = server_version;
+    return flush;
+  }
+
+  // Both forget the file entirely, version included.
+  void InvalidateFile(uint64_t file) { counters.bytes_cancelled_before_writeback += DropFile(file); }
+  int64_t DropFile(uint64_t file) {
+    const int64_t dropped = DirtyBytes(file);
+    for (auto it = Begin(file); it != End(file);) {
+      lru_.erase(it->second.pos);
+      it = blocks_.erase(it);
+    }
+    versions_.erase(file);
+    return dropped;
+  }
+
+  SimDuration LruAge(SimTime now) const {
+    return lru_.empty() ? -1 : now - blocks_.at(lru_.back()).last_ref;
+  }
+
+  bool ReleaseLruToVm(SimTime now) {
+    if (lru_.empty() || limit_ <= config_.min_blocks) {
+      return false;
+    }
+    Evict(now, CleanReason::kVm, /*for_vm=*/true);
+    --limit_;
+    return true;
+  }
+
+  void DemoteToLruTail(BlockKey key) {
+    auto it = blocks_.find(key);
+    if (it != blocks_.end()) {
+      lru_.splice(lru_.end(), lru_, it->second.pos);
+    }
+  }
+
+  // NVRAM recovery visits dirty blocks in ascending (file, block) order.
+  std::pair<int64_t, int64_t> CrashReset(bool nvram) {
+    int64_t lost = 0;
+    int64_t recovered = 0;
+    for (const auto& [key, b] : blocks_) {
+      if (!b.dirty) {
+        continue;
+      }
+      if (nvram) {
+        writebacks.emplace_back(key, b.extent);
+        recovered += b.extent;
+      } else {
+        lost += b.extent;
+      }
+    }
+    blocks_.clear();
+    lru_.clear();
+    versions_.clear();
+    limit_ = config_.min_blocks;
+    return {lost, recovered};
+  }
+
+  std::map<BlockKey, bool, KeyLess> Resident() const {
+    std::map<BlockKey, bool, KeyLess> out;
+    for (const auto& [key, b] : blocks_) {
+      out[key] = b.dirty;
+    }
+    return out;
+  }
+
+ private:
+  struct Block {
+    SimTime last_ref = 0;
+    bool prefetched = false;
+    bool dirty = false;
+    SimTime dirty_since = 0;
+    int64_t extent = 0;
+    std::list<BlockKey>::iterator pos;
+  };
+  using BlockMap = std::map<BlockKey, Block, KeyLess>;
+
+  BlockMap::iterator Begin(uint64_t file) { return blocks_.lower_bound({file, 0}); }
+  BlockMap::iterator End(uint64_t file) { return blocks_.lower_bound({file + 1, 0}); }
+
+  void Touch(BlockKey key, SimTime now) {
+    Block& b = blocks_.at(key);
+    b.last_ref = now;
+    lru_.splice(lru_.begin(), lru_, b.pos);
+  }
+
+  void Clean(BlockMap::value_type& entry, SimTime now, CleanReason reason) {
+    Block& b = entry.second;
+    const int r = static_cast<int>(reason);
+    ++counters.cleaned[r];
+    counters.cleaned_age_us[r] += now - b.dirty_since;
+    counters.bytes_written_to_server += b.extent;
+    writebacks.emplace_back(entry.first, b.extent);
+    b.dirty = false;
+    b.extent = 0;
+  }
+
+  void Evict(SimTime now, CleanReason reason, bool for_vm) {
+    auto it = blocks_.find(lru_.back());
+    if (it->second.dirty) {
+      Clean(*it, now, reason);
+    }
+    const SimDuration age = now - it->second.last_ref;
+    if (for_vm) {
+      ++counters.replaced_for_vm;
+      counters.replaced_for_vm_age_us += age;
+    } else {
+      ++counters.replaced_for_file;
+      counters.replaced_for_file_age_us += age;
+    }
+    lru_.pop_back();
+    blocks_.erase(it);
+  }
+
+  CacheConfig config_;
+  int64_t limit_;
+  BlockMap blocks_;
+  std::list<BlockKey> lru_;
+  std::map<uint64_t, uint64_t> versions_;
+};
+
+static_assert(std::has_unique_object_representations_v<CacheCounters>,
+              "CacheCounters is compared bytewise");
+
+// Everything observable through the public API must agree after every op.
+void ExpectSameState(const BlockCache& cache, const ModelCache& model,
+                     const WritebackLog& writebacks, const CacheCounters& counters, SimTime now) {
+  ASSERT_EQ(writebacks, model.writebacks);
+  ASSERT_EQ(std::memcmp(&counters, &model.counters, sizeof(CacheCounters)), 0);
+  ASSERT_EQ(cache.block_count(), model.block_count());
+  ASSERT_EQ(cache.limit_blocks(), model.limit_blocks());
+  ASSERT_EQ(cache.LruAge(now), model.LruAge(now));
+  ASSERT_EQ(cache.DirtyFiles(), model.DirtyFiles());
+  for (const auto& [key, dirty] : model.Resident()) {
+    ASSERT_TRUE(cache.Contains(key)) << key.file << ":" << key.index;
+    ASSERT_EQ(cache.IsDirty(key), dirty) << key.file << ":" << key.index;
+  }
+  for (uint64_t file = 0; file <= 6; ++file) {
+    ASSERT_EQ(cache.DirtyBytes(file), model.DirtyBytes(file)) << "file " << file;
+    ASSERT_EQ(cache.HasDirtyBlocks(file), !model.DirtyBlocks(file).empty()) << "file " << file;
+    ASSERT_EQ(cache.CachedVersion(file), model.CachedVersion(file)) << "file " << file;
+    std::vector<std::pair<int64_t, int64_t>> dirty;
+    cache.ForEachDirtyBlock(file, [&](int64_t block, int64_t extent) { dirty.emplace_back(block, extent); });
+    ASSERT_EQ(dirty, model.DirtyBlocks(file)) << "file " << file;
+  }
+}
+
+// One random op applied to both caches, with return values compared.
+void RandomOp(Rng& rng, BlockCache& cache, ModelCache& model, const BlockCache::WritebackFn& sink,
+              std::vector<int64_t>& cursors, SimTime& now) {
+  // Half-second steps, so block ages often land exactly on the 30-s delay.
+  now += static_cast<SimDuration>(rng.NextBelow(6)) * kSecond / 2;
+  if (rng.NextBool(0.02)) {
+    now += 25 * kSecond;
+  }
+  const uint64_t file = 1 + rng.NextBelow(5);
+  int64_t index = static_cast<int64_t>(rng.NextBelow(40));
+  const uint64_t shape = rng.NextBelow(10);
+  if (shape < 3) {
+    index = cursors[file]++ % 400;  // sequential runs: evictions at a file's low end
+  } else if (shape == 3) {
+    index = 5000 + static_cast<int64_t>(rng.NextBelow(4));  // sparse far blocks
+  }
+  const BlockKey key{file, index};
+  switch (rng.NextBelow(17)) {
+    case 0:
+    case 1:
+      ASSERT_EQ(cache.Lookup(key, now), model.Lookup(key, now));
+      break;
+    case 2:
+    case 3:
+      cache.InsertClean(key, now, sink);
+      model.InsertClean(key, now);
+      break;
+    case 4:
+      cache.InsertPrefetched(key, now, sink);
+      model.InsertPrefetched(key, now);
+      break;
+    case 5:
+    case 6: {
+      const int64_t end = rng.NextInRange(1, kBlockSize + 100);
+      ASSERT_EQ(cache.Write(key, now, end, sink), model.Write(key, now, end));
+      break;
+    }
+    case 7:
+      ASSERT_EQ(cache.CleanAged(now, sink), model.CleanAged(now));
+      break;
+    case 8: {
+      const auto reason = static_cast<CleanReason>(rng.NextBelow(kCleanReasonCount));
+      ASSERT_EQ(cache.CleanFile(file, now, reason, sink), model.CleanFile(file, now, reason));
+      break;
+    }
+    case 9:
+      if (rng.NextBool(0.5)) {
+        cache.InvalidateFile(file, now);
+        model.InvalidateFile(file);
+      } else {
+        ASSERT_EQ(cache.DropFile(file, now), model.DropFile(file));
+      }
+      break;
+    case 10: {
+      const uint64_t version = 1 + rng.NextBelow(3);
+      if (rng.NextBool(0.5)) {
+        ASSERT_EQ(cache.SyncVersion(file, version, now), model.SyncVersion(file, version));
+      } else {
+        cache.AdoptVersion(file, version);
+        model.AdoptVersion(file, version);
+      }
+      break;
+    }
+    case 11:
+      ASSERT_EQ(cache.ReleaseLruToVm(now, sink), model.ReleaseLruToVm(now));
+      break;
+    case 12:
+      cache.GrantPageFromVm();
+      model.GrantPageFromVm();
+      break;
+    case 13:
+      cache.DemoteToLruTail(key);
+      model.DemoteToLruTail(key);
+      break;
+    case 14: {
+      const int64_t limit = rng.NextInRange(0, 64);
+      cache.set_limit_blocks(limit);
+      model.set_limit_blocks(limit);
+      break;
+    }
+    case 15:
+      if (rng.NextBool(0.05)) {
+        const bool nvram = rng.NextBool(0.5);
+        ASSERT_EQ(cache.CrashReset(nvram ? sink : BlockCache::WritebackFn{}),
+                  model.CrashReset(nvram));
+      }
+      break;
+    default:
+      ASSERT_EQ(cache.IsDirty(key), model.IsDirty(key));
+      ASSERT_EQ(cache.Contains(key), model.Contains(key));
+      break;
+  }
+}
+
+TEST(BlockCacheDifferentialTest, MatchesReferenceModel) {
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    CacheConfig config = SmallConfig(64, 4);
+    CacheCounters counters;
+    WritebackLog writebacks;
+    BlockCache cache(config, &counters);
+    ModelCache model(config);
+    const BlockCache::WritebackFn sink = [&](BlockKey key, int64_t bytes) {
+      writebacks.emplace_back(key, bytes);
+    };
+    const int64_t limit = rng.NextInRange(4, 48);
+    cache.set_limit_blocks(limit);
+    model.set_limit_blocks(limit);
+    std::vector<int64_t> cursors(7, 0);
+    SimTime now = 0;
+    for (int op = 0; op < 4000; ++op) {
+      SCOPED_TRACE("op " + std::to_string(op));
+      RandomOp(rng, cache, model, sink, cursors, now);
+      ASSERT_FALSE(::testing::Test::HasFatalFailure());
+      ExpectSameState(cache, model, writebacks, counters, now);
+      ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    }
+  }
 }
 
 }  // namespace
