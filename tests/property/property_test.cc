@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 
 #include "src/consistency/overhead.h"
@@ -65,11 +66,19 @@ INSTANTIATE_TEST_SUITE_P(Limits, CacheSizeProperty, ::testing::Values(1, 2, 3, 8
 
 // ---------- Distributions: CDF/quantile consistency across shapes -----------
 
-class DistributionProperty
-    : public ::testing::TestWithParam<std::shared_ptr<const Distribution>> {};
+// Each case prints as a fixed name, so the discovered test names do not
+// depend on where the distribution happens to live on the heap.
+struct DistributionCase {
+  const char* name;
+  std::shared_ptr<const Distribution> dist;
+};
+
+void PrintTo(const DistributionCase& c, std::ostream* os) { *os << c.name; }
+
+class DistributionProperty : public ::testing::TestWithParam<DistributionCase> {};
 
 TEST_P(DistributionProperty, SamplesNonNegativeAndDeterministic) {
-  const Distribution& d = *GetParam();
+  const Distribution& d = *GetParam().dist;
   Rng a(7);
   Rng b(7);
   for (int i = 0; i < 2000; ++i) {
@@ -81,7 +90,7 @@ TEST_P(DistributionProperty, SamplesNonNegativeAndDeterministic) {
 }
 
 TEST_P(DistributionProperty, EmpiricalCdfMonotone) {
-  const Distribution& d = *GetParam();
+  const Distribution& d = *GetParam().dist;
   Rng rng(11);
   std::vector<double> samples(5000);
   for (double& s : samples) {
@@ -98,12 +107,15 @@ TEST_P(DistributionProperty, EmpiricalCdfMonotone) {
 INSTANTIATE_TEST_SUITE_P(
     Shapes, DistributionProperty,
     ::testing::Values(
-        std::make_shared<UniformDistribution>(0.0, 100.0),
-        std::make_shared<ExponentialDistribution>(10.0),
-        std::make_shared<LogNormalDistribution>(1024.0, 2.0),
-        std::make_shared<BoundedParetoDistribution>(1.05, 1e3, 1e7),
-        std::make_shared<EmpiricalDistribution>(std::vector<EmpiricalDistribution::Point>{
-            {0.0, 0.0}, {10.0, 0.4}, {1000.0, 1.0}})));
+        DistributionCase{"Uniform", std::make_shared<UniformDistribution>(0.0, 100.0)},
+        DistributionCase{"Exponential", std::make_shared<ExponentialDistribution>(10.0)},
+        DistributionCase{"LogNormal", std::make_shared<LogNormalDistribution>(1024.0, 2.0)},
+        DistributionCase{"BoundedPareto",
+                         std::make_shared<BoundedParetoDistribution>(1.05, 1e3, 1e7)},
+        DistributionCase{"Empirical",
+                         std::make_shared<EmpiricalDistribution>(
+                             std::vector<EmpiricalDistribution::Point>{
+                                 {0.0, 0.0}, {10.0, 0.4}, {1000.0, 1.0}})}));
 
 // ---------- Codec: round-trip across random logs ------------------------------
 
