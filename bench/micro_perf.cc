@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "src/fs/block_cache.h"
+#include "src/fs/sharding.h"
 #include "src/sim/event_queue.h"
 #include "src/trace/codec.h"
 #include "src/util/distributions.h"
@@ -76,6 +77,49 @@ void BM_DirtyWriteAndClean(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_DirtyWriteAndClean);
+
+// The 5-second cleaner over a server-sized dirty population with nothing
+// due: 1024 files of 8 dirty blocks, all 29 s old. Per file, the scan is
+// one bound check, not one check per dirty block.
+void BM_CleanAgedManyDirtyFiles(benchmark::State& state) {
+  constexpr int64_t kFiles = 1024;
+  constexpr int64_t kBlocksPerFile = 8;
+  CacheConfig config;
+  config.min_blocks = kFiles * kBlocksPerFile;
+  config.max_blocks = kFiles * kBlocksPerFile;
+  CacheCounters counters;
+  BlockCache cache(config, &counters);
+  cache.set_limit_blocks(kFiles * kBlocksPerFile);
+  for (int64_t f = 0; f < kFiles; ++f) {
+    for (int64_t b = 0; b < kBlocksPerFile; ++b) {
+      cache.Write({static_cast<uint64_t>(100'000 + f), b}, 0, kBlockSize, nullptr);
+    }
+  }
+  const SimTime now = config.writeback_delay - kSecond;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.CleanAged(now, nullptr));
+  }
+  state.SetItemsProcessed(state.iterations() * kFiles);
+}
+BENCHMARK(BM_CleanAgedManyDirtyFiles);
+
+// Repeat routings through the placement ledger, as Cluster::ServerForFile
+// records them: 10,000 files already placed on 16 servers.
+void BM_PlacementNote(benchmark::State& state) {
+  constexpr uint64_t kFiles = 10'000;
+  PlacementLedger ledger(16);
+  for (uint64_t f = 0; f < kFiles; ++f) {
+    ledger.Note(static_cast<ServerId>(f % 16), 100'000 + f);
+  }
+  uint64_t f = 0;
+  for (auto _ : state) {
+    ledger.Note(static_cast<ServerId>(f % 16), 100'000 + f);
+    f = f + 1 == kFiles ? 0 : f + 1;
+  }
+  benchmark::DoNotOptimize(ledger.total_routed());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PlacementNote);
 
 void BM_TraceEncode(benchmark::State& state) {
   TraceLog log;

@@ -1,21 +1,22 @@
 #include "src/fs/block_cache.h"
 
 #include <algorithm>
+#include <limits>
 
 namespace sprite {
 
 BlockCache::BlockCache(const CacheConfig& config, CacheCounters* counters)
     : config_(config), counters_(counters), limit_blocks_(config.min_blocks) {}
 
-uint32_t BlockCache::Find(BlockKey key) const {
-  auto fit = files_.find(key.file);
-  if (fit == files_.end()) {
-    return kNoSlot;
-  }
-  const FileState& fs = fit->second;
+uint32_t BlockCache::SlotOf(const FileState& fs, int64_t index) {
   // A block below base wraps to a huge offset and misses like one past the end.
-  const uint64_t at = static_cast<uint64_t>(key.index - fs.base);
+  const uint64_t at = static_cast<uint64_t>(index - fs.base);
   return at < fs.slots.size() ? fs.slots[at] : kNoSlot;
+}
+
+uint32_t BlockCache::Find(BlockKey key) const {
+  const FileState* fs = files_.Find(key.file);
+  return fs == nullptr ? kNoSlot : SlotOf(*fs, key.index);
 }
 
 void BlockCache::LruUnlink(uint32_t slot) {
@@ -52,7 +53,7 @@ bool BlockCache::Lookup(BlockKey key, SimTime now) {
   return true;
 }
 
-uint32_t BlockCache::FindOrInsert(BlockKey key, SimTime now, const WritebackFn& writeback,
+uint32_t BlockCache::FindOrInsert(BlockKey key, SimTime now, WritebackRef writeback,
                                   bool& inserted) {
   uint32_t slot = Find(key);
   inserted = slot == kNoSlot;
@@ -75,7 +76,7 @@ uint32_t BlockCache::FindOrInsert(BlockKey key, SimTime now, const WritebackFn& 
   ++block_count_;
 
   FileState& fs = files_[key.file];
-  if (fs.resident == 0) {
+  if (fs.slots.empty()) {
     fs.slots.assign(1, kNoSlot);
     fs.base = key.index;
   } else if (key.index < fs.base) {
@@ -98,16 +99,15 @@ uint32_t BlockCache::FindOrInsert(BlockKey key, SimTime now, const WritebackFn& 
   const auto at = static_cast<uint32_t>(key.index - fs.base);
   fs.slots[at] = slot;
   fs.first = std::min(fs.first, at);
-  ++fs.resident;
   return slot;
 }
 
-void BlockCache::InsertClean(BlockKey key, SimTime now, const WritebackFn& writeback) {
+void BlockCache::InsertClean(BlockKey key, SimTime now, WritebackRef writeback) {
   bool inserted = false;
   FindOrInsert(key, now, writeback, inserted);
 }
 
-void BlockCache::InsertPrefetched(BlockKey key, SimTime now, const WritebackFn& writeback) {
+void BlockCache::InsertPrefetched(BlockKey key, SimTime now, WritebackRef writeback) {
   bool inserted = false;
   const uint32_t slot = FindOrInsert(key, now, writeback, inserted);
   if (inserted) {
@@ -118,15 +118,18 @@ void BlockCache::InsertPrefetched(BlockKey key, SimTime now, const WritebackFn& 
   }
 }
 
-bool BlockCache::Write(BlockKey key, SimTime now, int64_t end_in_block,
-                       const WritebackFn& writeback) {
+bool BlockCache::Write(BlockKey key, SimTime now, int64_t end_in_block, WritebackRef writeback) {
   bool inserted = false;
   Entry& entry = slab_[FindOrInsert(key, now, writeback, inserted)];
   if (!entry.dirty) {  // a clean entry's extent is 0
     entry.dirty = true;
     entry.dirty_since = now;
-    if (++files_.find(key.file)->second.dirty_count == 1) {
+    FileState& fs = *files_.Find(key.file);
+    if (fs.dirty_count++ == 0) {
+      fs.dirty_floor = now;
       dirty_files_.insert(key.file);
+    } else {
+      fs.dirty_floor = std::min(fs.dirty_floor, now);
     }
   }
   entry.dirty_extent =
@@ -139,25 +142,61 @@ bool BlockCache::IsDirty(BlockKey key) const {
   return slot != kNoSlot && slab_[slot].dirty;
 }
 
-void BlockCache::CleanBlock(Entry& entry, FileState& fs, SimTime now, CleanReason reason,
-                            const WritebackFn& writeback) {
-  if (!entry.dirty) {
-    return;
+template <typename Visit>
+void BlockCache::WalkDirtyBlocks(uint64_t file, Visit&& visit) {
+  int64_t next = std::numeric_limits<int64_t>::min();  // lowest block not yet visited
+  for (FileState* fs = files_.Find(file); fs != nullptr && fs->dirty_count > 0;) {
+    auto at = static_cast<size_t>(std::max<int64_t>(fs->first, next - std::min(next, fs->base)));
+    while (at < fs->slots.size() &&
+           (fs->slots[at] == kNoSlot || !slab_[fs->slots[at]].dirty)) {
+      ++at;
+    }
+    if (at >= fs->slots.size()) {
+      return;
+    }
+    next = fs->base + static_cast<int64_t>(at) + 1;
+    fs = visit(*fs, fs->slots[at]);
   }
+}
+
+BlockCache::FileState* BlockCache::CleanBlock(FileState& fs, uint32_t slot, SimTime now,
+                                              CleanReason reason, WritebackRef writeback) {
+  const Entry& entry = slab_[slot];
+  const BlockKey key = entry.key;
   if (counters_ != nullptr) {
     const int r = static_cast<int>(reason);
     ++counters_->cleaned[r];
     counters_->cleaned_age_us[r] += now - entry.dirty_since;
     counters_->bytes_written_to_server += entry.dirty_extent;
   }
+  FileState* after = &fs;
   if (writeback) {
-    writeback(entry.key, entry.dirty_extent);
+    writeback(key, entry.dirty_extent);  // the block is still dirty in here
+    after = files_.Find(key.file);
+    slot = after == nullptr ? kNoSlot : SlotOf(*after, key.index);
+    if (slot == kNoSlot || !slab_[slot].dirty) {
+      return after;  // dropped (or cleaned) by a reopen storm the RPC ran
+    }
   }
-  entry.dirty = false;
-  entry.dirty_extent = 0;
-  if (--fs.dirty_count == 0) {
-    dirty_files_.erase(entry.key.file);
+  slab_[slot].dirty = false;
+  slab_[slot].dirty_extent = 0;
+  if (--after->dirty_count == 0) {
+    dirty_files_.erase(key.file);
   }
+  return after;
+}
+
+std::pair<int64_t, int64_t> BlockCache::CleanDirtyBlocks(uint64_t file, SimTime now,
+                                                         CleanReason reason,
+                                                         WritebackRef writeback) {
+  int64_t blocks = 0;
+  int64_t bytes = 0;
+  WalkDirtyBlocks(file, [&](FileState& fs, uint32_t slot) {
+    ++blocks;
+    bytes += slab_[slot].dirty_extent;
+    return CleanBlock(fs, slot, now, reason, writeback);
+  });
+  return {blocks, bytes};
 }
 
 void BlockCache::FreeSlot(uint32_t slot) {
@@ -167,14 +206,19 @@ void BlockCache::FreeSlot(uint32_t slot) {
 }
 
 void BlockCache::EvictLruTail(SimTime now, CleanReason reason, ReplaceReason replace_reason,
-                              const WritebackFn& writeback) {
-  const uint32_t slot = lru_tail_;
-  Entry& entry = slab_[slot];
-  auto fit = files_.find(entry.key.file);
-  FileState& fs = fit->second;
-  CleanBlock(entry, fs, now, reason, writeback);
+                              WritebackRef writeback) {
+  uint32_t slot = lru_tail_;
+  const BlockKey key = slab_[slot].key;
+  FileState* fs = files_.Find(key.file);
+  if (slab_[slot].dirty) {
+    fs = CleanBlock(*fs, slot, now, reason, writeback);
+    slot = fs == nullptr ? kNoSlot : SlotOf(*fs, key.index);
+    if (slot == kNoSlot) {
+      return;  // the writeback's reopen storm dropped the victim already
+    }
+  }
   if (counters_ != nullptr) {
-    const SimDuration age = now - entry.last_ref;
+    const SimDuration age = now - slab_[slot].last_ref;
     if (replace_reason == ReplaceReason::kForFileBlock) {
       ++counters_->replaced_for_file;
       counters_->replaced_for_file_age_us += age;
@@ -183,79 +227,74 @@ void BlockCache::EvictLruTail(SimTime now, CleanReason reason, ReplaceReason rep
       counters_->replaced_for_vm_age_us += age;
     }
   }
-  // Clear the slot, then trim empty slots off whichever end it was on.
-  fs.slots[static_cast<size_t>(entry.key.index - fs.base)] = kNoSlot;
-  if (--fs.resident == 0) {
-    if (fs.version == 0) {
-      files_.erase(fit);
+  if (size_t{fs->first} + 1 == fs->slots.size()) {  // the file's only resident block
+    if (fs->version == 0) {
+      files_.Erase(key.file);
     } else {
-      fs.slots = std::vector<uint32_t>();  // release the memory, keep the version
-      fs.first = 0;
+      fs->slots = std::vector<uint32_t>();  // release the memory, keep the version
+      fs->first = 0;
     }
   } else {
-    while (fs.slots.back() == kNoSlot) {
-      fs.slots.pop_back();
+    // Clear the slot, then trim empty slots off whichever end it was on.
+    fs->slots[static_cast<size_t>(key.index - fs->base)] = kNoSlot;
+    while (fs->slots.back() == kNoSlot) {
+      fs->slots.pop_back();
     }
-    while (fs.slots[fs.first] == kNoSlot) {
-      ++fs.first;
+    while (fs->slots[fs->first] == kNoSlot) {
+      ++fs->first;
     }
   }
   LruUnlink(slot);
   FreeSlot(slot);
 }
 
-int64_t BlockCache::CleanAged(SimTime now, const WritebackFn& writeback) {
-  if (dirty_files_.empty()) {
-    return 0;
+bool BlockCache::HasAgedBlock(FileState& fs, SimTime now) {
+  if (now - fs.dirty_floor < config_.writeback_delay) {
+    return false;  // every dirty block is younger than the floor's age
   }
-  // Pass 1: find files with at least one block dirty >= delay. Only files
-  // in the dirty set are examined — a fully clean cache costs nothing, no
-  // matter how large it is. dirty_files_ is ordered, so files_due is in
-  // ascending file-id order.
-  std::vector<FileState*> files_due;
-  for (uint64_t file : dirty_files_) {
-    FileState& fs = files_.find(file)->second;
-    if (std::ranges::any_of(Resident(fs), [&](uint32_t slot) {
-          return slot != kNoSlot && slab_[slot].dirty &&
-                 now - slab_[slot].dirty_since >= config_.writeback_delay;
-        })) {
-      files_due.push_back(&fs);
+  SimTime oldest = std::numeric_limits<SimTime>::max();
+  for (uint32_t slot : Resident(fs)) {
+    if (slot != kNoSlot && slab_[slot].dirty) {
+      if (now - slab_[slot].dirty_since >= config_.writeback_delay) {
+        return true;
+      }
+      oldest = std::min(oldest, slab_[slot].dirty_since);
     }
   }
-  // Pass 2: write back every dirty block of those files ("All dirty blocks
-  // for a file are written to the server if any block ... has been dirty for
-  // 30 seconds"), in ascending block order.
+  fs.dirty_floor = oldest;
+  return false;
+}
+
+int64_t BlockCache::CleanAged(SimTime now, WritebackRef writeback) {
+  // "All dirty blocks for a file are written to the server if any block ...
+  // has been dirty for 30 seconds", file by file in ascending id order.
+  // Only files in the dirty set are examined, so a fully clean cache costs
+  // nothing, no matter how large it is. Which files are due is fixed by
+  // `now`; cleaning one file cannot change another's ages, so deciding per
+  // file as the walk reaches it equals deciding for all files up front.
+  // Cleaning erases the file from the set (and a writeback may re-enter the
+  // cache), so the walk resumes by key.
   int64_t cleaned = 0;
-  for (FileState* fs : files_due) {
-    for (uint32_t slot : Resident(*fs)) {
-      if (slot != kNoSlot && slab_[slot].dirty) {
-        CleanBlock(slab_[slot], *fs, now, CleanReason::kDelay, writeback);
-        ++cleaned;
-      }
+  for (auto it = dirty_files_.begin(); it != dirty_files_.end();) {
+    const uint64_t file = *it;
+    if (HasAgedBlock(*files_.Find(file), now)) {
+      cleaned += CleanDirtyBlocks(file, now, CleanReason::kDelay, writeback).first;
+      it = dirty_files_.upper_bound(file);
+    } else {
+      ++it;
     }
   }
   return cleaned;
 }
 
 int64_t BlockCache::CleanFile(uint64_t file, SimTime now, CleanReason reason,
-                              const WritebackFn& writeback) {
-  auto fit = files_.find(file);
-  if (fit == files_.end() || fit->second.dirty_count == 0) {
-    return 0;
-  }
-  int64_t bytes = 0;
-  for (uint32_t slot : Resident(fit->second)) {
-    if (slot != kNoSlot && slab_[slot].dirty) {
-      bytes += slab_[slot].dirty_extent;
-      CleanBlock(slab_[slot], fit->second, now, reason, writeback);
-    }
-  }
-  return bytes;
+                              WritebackRef writeback) {
+  return CleanDirtyBlocks(file, now, reason, writeback).second;
 }
 
 bool BlockCache::HasDirtyBlocks(uint64_t file) const {
-  auto fit = files_.find(file);
-  return fit != files_.end() && fit->second.dirty_count > 0;
+  const FileState* fs = files_.Find(file);
+  return fs != nullptr && fs->dirty_count > 0;
 }
 
 int64_t BlockCache::DirtyBytes(uint64_t file) const {
@@ -268,13 +307,13 @@ std::vector<uint64_t> BlockCache::DirtyFiles() const {
   return std::vector<uint64_t>(dirty_files_.begin(), dirty_files_.end());
 }
 
-void BlockCache::ForEachDirtyBlock(
-    uint64_t file, const std::function<void(int64_t block, int64_t extent)>& fn) const {
-  auto fit = files_.find(file);
-  if (fit == files_.end() || fit->second.dirty_count == 0) {
+void BlockCache::ForEachDirtyBlock(uint64_t file,
+                                   FunctionRef<void(int64_t block, int64_t extent)> fn) const {
+  const FileState* fs = files_.Find(file);
+  if (fs == nullptr || fs->dirty_count == 0) {
     return;
   }
-  for (uint32_t slot : Resident(fit->second)) {
+  for (uint32_t slot : Resident(*fs)) {
     if (slot != kNoSlot && slab_[slot].dirty) {
       fn(slab_[slot].key.index, slab_[slot].dirty_extent);
     }
@@ -282,37 +321,37 @@ void BlockCache::ForEachDirtyBlock(
 }
 
 uint64_t BlockCache::CachedVersion(uint64_t file) const {
-  auto fit = files_.find(file);
-  return fit == files_.end() ? 0 : fit->second.version;
+  const FileState* fs = files_.Find(file);
+  return fs == nullptr ? 0 : fs->version;
 }
 
-int64_t BlockCache::EraseFile(FileMap::iterator fit) {
+int64_t BlockCache::EraseFile(uint64_t file, FileState& fs) {
   int64_t dirty_bytes = 0;
-  for (uint32_t slot : Resident(fit->second)) {
+  for (uint32_t slot : Resident(fs)) {
     if (slot != kNoSlot) {
       dirty_bytes += slab_[slot].dirty ? slab_[slot].dirty_extent : 0;
       LruUnlink(slot);
       FreeSlot(slot);
     }
   }
-  if (fit->second.dirty_count > 0) {
-    dirty_files_.erase(fit->first);
+  if (fs.dirty_count > 0) {
+    dirty_files_.erase(file);
   }
-  files_.erase(fit);
+  files_.Erase(file);
   return dirty_bytes;
 }
 
 int64_t BlockCache::DropFile(uint64_t file, SimTime /*now*/) {
-  auto fit = files_.find(file);
-  return fit == files_.end() ? 0 : EraseFile(fit);
+  FileState* fs = files_.Find(file);
+  return fs == nullptr ? 0 : EraseFile(file, *fs);
 }
 
 void BlockCache::InvalidateFile(uint64_t file, SimTime /*now*/) {
-  auto fit = files_.find(file);
-  if (fit == files_.end()) {
+  FileState* fs = files_.Find(file);
+  if (fs == nullptr) {
     return;
   }
-  const int64_t cancelled = EraseFile(fit);
+  const int64_t cancelled = EraseFile(file, *fs);
   if (counters_ != nullptr) {
     counters_->bytes_cancelled_before_writeback += cancelled;
   }
@@ -322,7 +361,7 @@ SimDuration BlockCache::LruAge(SimTime now) const {
   return lru_tail_ == kNoSlot ? -1 : now - slab_[lru_tail_].last_ref;
 }
 
-bool BlockCache::ReleaseLruToVm(SimTime now, const WritebackFn& writeback) {
+bool BlockCache::ReleaseLruToVm(SimTime now, WritebackRef writeback) {
   if (lru_tail_ == kNoSlot || limit_blocks_ <= config_.min_blocks) {
     return false;
   }
@@ -343,32 +382,33 @@ void BlockCache::DemoteToLruTail(BlockKey key) {
   lru_tail_ = slot;
 }
 
-std::pair<int64_t, int64_t> BlockCache::CrashReset(const WritebackFn& nvram_recovery) {
+std::pair<int64_t, int64_t> BlockCache::CrashReset(WritebackRef nvram_recovery) {
   int64_t lost = 0;
   int64_t recovered = 0;
-  for (uint64_t file : dirty_files_) {
-    for (uint32_t slot : Resident(files_.find(file)->second)) {
-      if (slot == kNoSlot || !slab_[slot].dirty) {
-        continue;
-      }
+  // Recovery writebacks may re-enter the cache like any other, so both
+  // walks resume by key.
+  for (auto it = dirty_files_.begin(); it != dirty_files_.end();) {
+    const uint64_t file = *it;
+    WalkDirtyBlocks(file, [&](FileState& fs, uint32_t slot) {
       const Entry& entry = slab_[slot];
-      if (nvram_recovery) {
-        nvram_recovery(entry.key, entry.dirty_extent);
-        recovered += entry.dirty_extent;
-      } else {
+      if (!nvram_recovery) {
         lost += entry.dirty_extent;
+        return &fs;
       }
-    }
+      recovered += entry.dirty_extent;
+      nvram_recovery(entry.key, entry.dirty_extent);
+      return files_.Find(file);
+    });
+    it = dirty_files_.upper_bound(file);
   }
   *this = BlockCache(config_, counters_);  // empty, at the minimum limit
   return {lost, recovered};
 }
 
 bool BlockCache::SyncVersion(uint64_t file, uint64_t server_version, SimTime now) {
-  auto fit = files_.find(file);
-  const bool had_version = fit != files_.end() && fit->second.version != 0;
-  const bool stale = had_version && fit->second.version != server_version;
-  const bool has_blocks = fit != files_.end() && fit->second.resident > 0;
+  const FileState* fs = files_.Find(file);
+  const bool stale = fs != nullptr && fs->version != 0 && fs->version != server_version;
+  const bool has_blocks = fs != nullptr && !fs->slots.empty();
   if (stale && has_blocks) {
     InvalidateFile(file, now);  // erases the FileState; recreated below
   }

@@ -14,13 +14,18 @@
 //   * Per-file version numbers let a client flush stale blocks when the
 //     server reports a newer version at open time.
 //
-// Hot-path layout: one index. Entries live in a slab (vector + free list),
-// chained into the intrusive LRU by 32-bit slot number. Each file's
-// FileState maps block index -> slot through a dense vector spanning just
-// its resident blocks: a lookup is one hash probe plus an array index, and
-// evicting a sequentially read file's lowest block clears one slot. Files
-// with dirty blocks sit in a small ordered set, so the 5-second cleaner
-// scans only dirty files, not a whole ~32K-block server cache.
+// Hot-path layout: one index, and no allocation on a hit, eviction or clean.
+// Entries live in a slab (vector + free list), chained into the intrusive
+// LRU by 32-bit slot number. Each file's FileState sits in a flat
+// open-addressing map and maps block index -> slot through a dense vector
+// spanning just its resident blocks: a lookup is one flat probe plus an
+// array index, and evicting a sequentially read file's lowest block clears
+// one slot. Files with dirty blocks sit in a small ordered set, so the
+// 5-second cleaner visits only dirty files, not a whole ~32K-block server
+// cache; each keeps a lower bound on its blocks' dirty times, so a file
+// with nothing due is skipped without scanning its slots. Writebacks arrive
+// through a non-owning FunctionRef, and may re-enter the cache (see
+// WritebackRef).
 
 #ifndef SPRITE_DFS_SRC_FS_BLOCK_CACHE_H_
 #define SPRITE_DFS_SRC_FS_BLOCK_CACHE_H_
@@ -29,12 +34,13 @@
 #include <functional>
 #include <set>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/fs/config.h"
 #include "src/fs/counters.h"
+#include "src/util/flat_map.h"
+#include "src/util/function_ref.h"
 #include "src/util/units.h"
 
 namespace sprite {
@@ -59,8 +65,12 @@ class BlockCache {
   BlockCache(const CacheConfig& config, CacheCounters* counters);
 
   // Called when the cache must push a dirty block to the server:
-  // (key, bytes) where bytes is the dirty extent of the block.
-  using WritebackFn = std::function<void(BlockKey key, int64_t bytes)>;
+  // (key, bytes) where bytes is the dirty extent of the block. Empty (nullptr,
+  // an empty std::function) means "no writeback". The callback may re-enter
+  // the cache: a writeback RPC that meets a rebooted server runs the
+  // client's reopen storm, which can drop or re-version any file, this one
+  // included. It sees the block being written back still dirty.
+  using WritebackRef = FunctionRef<void(BlockKey key, int64_t bytes)>;
 
   // --- Size management -----------------------------------------------------
   int64_t block_count() const { return block_count_; }
@@ -79,17 +89,17 @@ class BlockCache {
   // Inserts a block just fetched from the server (clean). Evicts the LRU
   // block(s) if at the size limit; a dirty victim is written back first via
   // `writeback` with CleanReason::kReplacement.
-  void InsertClean(BlockKey key, SimTime now, const WritebackFn& writeback);
+  void InsertClean(BlockKey key, SimTime now, WritebackRef writeback);
 
   // Inserts a block fetched by sequential readahead. Counted as a prefetch;
   // the first later demand Lookup that hits it counts as prefetch_useful.
-  void InsertPrefetched(BlockKey key, SimTime now, const WritebackFn& writeback);
+  void InsertPrefetched(BlockKey key, SimTime now, WritebackRef writeback);
 
   // --- Write path ----------------------------------------------------------
   // Writes `bytes` into the block ending at in-block offset `end_in_block`
   // (the dirty extent grows to `end_in_block`). Inserts the block if absent.
   // Returns true if the block was already resident.
-  bool Write(BlockKey key, SimTime now, int64_t end_in_block, const WritebackFn& writeback);
+  bool Write(BlockKey key, SimTime now, int64_t end_in_block, WritebackRef writeback);
 
   bool IsDirty(BlockKey key) const;
 
@@ -97,12 +107,12 @@ class BlockCache {
   // The 5-second daemon scan: writes back every dirty block belonging to any
   // file that has at least one block dirty for >= writeback_delay.
   // Returns the number of blocks cleaned.
-  int64_t CleanAged(SimTime now, const WritebackFn& writeback);
+  int64_t CleanAged(SimTime now, WritebackRef writeback);
 
   // Cleans all dirty blocks of `file` for the given reason (fsync, server
   // recall). Returns bytes written back.
   int64_t CleanFile(uint64_t file, SimTime now, CleanReason reason,
-                    const WritebackFn& writeback);
+                    WritebackRef writeback);
 
   // True if `file` has any dirty block.
   bool HasDirtyBlocks(uint64_t file) const;
@@ -118,7 +128,7 @@ class BlockCache {
   // dirty extent, without touching LRU or dirty state. Replication uses this
   // to rebuild a standby's shadow from the live primary's cache.
   void ForEachDirtyBlock(uint64_t file,
-                         const std::function<void(int64_t block, int64_t extent)>& fn) const;
+                         FunctionRef<void(int64_t block, int64_t extent)> fn) const;
 
   // The version last reported/adopted for `file`, or 0 if unknown.
   uint64_t CachedVersion(uint64_t file) const;
@@ -145,7 +155,7 @@ class BlockCache {
   // A dirty victim is written back first (CleanReason::kVm). Also lowers the
   // limit by one block. Returns false if the cache is empty or at its
   // minimum size.
-  bool ReleaseLruToVm(SimTime now, const WritebackFn& writeback);
+  bool ReleaseLruToVm(SimTime now, WritebackRef writeback);
 
   // Grows the limit by one block (a page acquired from the VM system).
   void GrantPageFromVm() { ++limit_blocks_; }
@@ -171,7 +181,7 @@ class BlockCache {
   // is LOST unless `nvram_recovery` is provided, in which case it is pushed
   // through it (non-volatile cache memory surviving the crash) in ascending
   // (file, block) order. Returns {lost_bytes, recovered_bytes}.
-  std::pair<int64_t, int64_t> CrashReset(const WritebackFn& nvram_recovery);
+  std::pair<int64_t, int64_t> CrashReset(WritebackRef nvram_recovery);
 
   const CacheConfig& config() const { return config_; }
 
@@ -189,37 +199,61 @@ class BlockCache {
     bool dirty = false;
   };
 
-  // One node per file: slots[i] is the slot of block base + i, or kNoSlot.
+  // One per file: slots[i] is the slot of block base + i, or kNoSlot.
   // slots[0, first) are empty and slots[first] and slots.back() are
   // resident, so slots[first, end) spans exactly the resident blocks in
-  // ascending order. version 0 = unknown (server versions start at 1).
+  // ascending order, and an empty vector means no resident block.
+  // version 0 = unknown (server versions start at 1). 56 bytes, so a flat
+  // map slot (key + value) is 64 bytes, less than the 80-byte heap node
+  // (plus bucket pointer) of a node-based map.
   struct FileState {
     std::vector<uint32_t> slots;
     int64_t base = 0;
-    uint32_t first = 0;
-    uint32_t resident = 0;
     uint64_t version = 0;
-    int64_t dirty_count = 0;  // lets cleaners skip clean files
+    // At or below every dirty block's dirty_since (not necessarily the
+    // minimum: cleaning a block leaves it stale). min() keeps it a bound
+    // when an async server cache is written at an earlier `now`.
+    SimTime dirty_floor = 0;
+    uint32_t first = 0;
+    uint32_t dirty_count = 0;  // lets cleaners skip clean files
   };
-  using FileMap = std::unordered_map<uint64_t, FileState>;
+  static_assert(sizeof(FileState) <= 56, "keep a flat-map slot within 64 bytes");
 
   static std::span<const uint32_t> Resident(const FileState& fs) {  // slots[first, end)
     return std::span<const uint32_t>(fs.slots).subspan(fs.first);
   }
+  static uint32_t SlotOf(const FileState& fs, int64_t index);
   uint32_t Find(BlockKey key) const;
   // Moves the block to the LRU head, inserting it (evicting first if at the
   // limit) when absent. Returns its slot.
-  uint32_t FindOrInsert(BlockKey key, SimTime now, const WritebackFn& writeback, bool& inserted);
+  uint32_t FindOrInsert(BlockKey key, SimTime now, WritebackRef writeback, bool& inserted);
   void LruUnlink(uint32_t slot);
   void LruPushFront(uint32_t slot);
   void TouchLru(uint32_t slot, SimTime now);
-  void CleanBlock(Entry& entry, FileState& fs, SimTime now, CleanReason reason,
-                  const WritebackFn& writeback);
+  // Calls visit(fs, slot) for each dirty block of `file` in ascending block
+  // order. `visit` may write back, and so re-enter the cache; it returns
+  // the file's state afterwards (null if gone), and the walk resumes past
+  // the visited block by index.
+  template <typename Visit>
+  void WalkDirtyBlocks(uint64_t file, Visit&& visit);
+  // Writes the dirty block in `slot` of file `fs` back and marks it clean.
+  // Holds nothing across a writeback: afterwards the file and block are
+  // found again by key, and if the callback dropped the block there is
+  // nothing left to mark. Returns the file's state (null if dropped).
+  FileState* CleanBlock(FileState& fs, uint32_t slot, SimTime now, CleanReason reason,
+                        WritebackRef writeback);
+  // Cleans every dirty block of `file`; returns {blocks, bytes} written back.
+  std::pair<int64_t, int64_t> CleanDirtyBlocks(uint64_t file, SimTime now, CleanReason reason,
+                                               WritebackRef writeback);
+  // True if some dirty block of the file has aged past the write-back
+  // delay. Skips the scan when the dirty floor rules that out, and
+  // tightens the floor when a scan finds nothing due.
+  bool HasAgedBlock(FileState& fs, SimTime now);
   // Writes the LRU tail back if dirty (for `reason`), then erases it.
   void EvictLruTail(SimTime now, CleanReason reason, ReplaceReason replace_reason,
-                    const WritebackFn& writeback);
+                    WritebackRef writeback);
   // Erases the file's blocks and its state; returns the dirty bytes dropped.
-  int64_t EraseFile(FileMap::iterator fit);
+  int64_t EraseFile(uint64_t file, FileState& fs);
   void FreeSlot(uint32_t slot);
 
   CacheConfig config_;
@@ -232,8 +266,9 @@ class BlockCache {
   uint32_t lru_head_ = kNoSlot;  // most recent
   uint32_t lru_tail_ = kNoSlot;  // least recent
   // A FileState outlives its blocks only while it carries a known version,
-  // and then holds no slot vector.
-  FileMap files_;
+  // and then holds no slot vector. Nothing iterates it, so hash order never
+  // leaks into outputs.
+  FlatMap<FileState> files_;
   // Files with dirty_count > 0, ascending. Small (bounded by the 30-second
   // write-back horizon), and gives cleaners their deterministic file order.
   std::set<uint64_t> dirty_files_;

@@ -187,7 +187,25 @@ class Client final : public CacheControl {
   // following the preference rule: take a VM page only if one has been idle
   // for 20 minutes; otherwise the cache will evict its own LRU block.
   void EnsureCacheRoom(SimTime now);
-  BlockCache::WritebackFn WritebackTo(bool paging, SimTime now);
+
+  // The cache's writeback for one kernel call at `now`: a plain value the
+  // caller passes as a temporary, so the cache borrows it without any
+  // allocation. Successive writebacks of one eviction/clean pass issue
+  // back-to-back in event-driven mode (IssueAt threads the accumulated
+  // `offset` through); in sync mode IssueAt ignores it and every writeback
+  // issues at `now`.
+  struct Writeback {
+    Client* client;
+    SimTime now;
+    SimDuration offset = 0;
+
+    void operator()(BlockKey key, int64_t bytes) {
+      offset += client->ServerFor(key.file).Writeback(key.file, key.index, bytes,
+                                                      /*paging=*/false,
+                                                      client->IssueAt(now, offset));
+    }
+  };
+  Writeback WritebackTo(SimTime now) { return Writeback{this, now}; }
 
   // Common pass-through helpers.
   SimDuration UncacheableRead(OpenFile& of, int64_t bytes, SimTime now, HandleId handle);

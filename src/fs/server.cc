@@ -466,7 +466,9 @@ SimDuration Server::FetchBlock(FileId file, int64_t block, bool paging, SimTime 
   const SimDuration disk_time = TouchServerCache(file, block, /*write=*/false, kBlockSize, now);
   if (obs_ != nullptr && obs_->tracing_enabled()) {
     obs_->tracer().Emit("server.fetch-block", "server", ServerTrack(id_), now, disk_time,
-                        {{"file", file}, {"block", block}, {"paging", paging ? 1 : 0}});
+                        {{"file", static_cast<int64_t>(file)},
+                         {"block", block},
+                         {"paging", paging ? 1 : 0}});
   }
   return disk_time;
 }
@@ -481,7 +483,7 @@ SimDuration Server::Writeback(FileId file, int64_t block, int64_t bytes, bool pa
   TouchServerCache(file, block, /*write=*/true, bytes, now);
   if (obs_ != nullptr && obs_->tracing_enabled()) {
     obs_->tracer().Emit("server.writeback", "server", ServerTrack(id_), now, 0,
-                        {{"file", file}, {"block", block}, {"bytes", bytes},
+                        {{"file", static_cast<int64_t>(file)}, {"block", block}, {"bytes", bytes},
                          {"paging", paging ? 1 : 0}});
   }
   FileMeta& meta = EnsureFile(file);
@@ -578,7 +580,7 @@ int64_t Server::Crash(SimTime now) {
     (void)file;
     meta.last_writer.reset();
   }
-  const auto [lost, recovered] = cache_.CrashReset(BlockCache::WritebackFn{});
+  const auto [lost, recovered] = cache_.CrashReset(/*nvram_recovery=*/nullptr);
   (void)recovered;
   // The server cache restarts at capacity, as at construction.
   cache_.set_limit_blocks(cache_.config().max_blocks);

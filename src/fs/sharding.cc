@@ -181,22 +181,23 @@ std::unique_ptr<Sharder> MakeSharder(const ShardingConfig& config, int num_serve
 }
 
 PlacementLedger::PlacementLedger(int num_servers)
-    : files_(static_cast<size_t>(num_servers)), routed_(static_cast<size_t>(num_servers), 0) {}
+    : placed_(static_cast<size_t>(num_servers), 0), routed_(static_cast<size_t>(num_servers), 0) {}
 
 void PlacementLedger::Note(ServerId server, FileId file) {
-  files_[server].insert(file);
+  const auto [home, first_routing] = first_home_.TryEmplace(file, server);
+  if (first_routing || (*home != server && later_homes_.emplace(file, server).second)) {
+    ++placed_[server];
+  }
   ++routed_[server];
 }
 
-int64_t PlacementLedger::files_placed(ServerId server) const {
-  return static_cast<int64_t>(files_.at(server).size());
-}
+int64_t PlacementLedger::files_placed(ServerId server) const { return placed_.at(server); }
 
 int64_t PlacementLedger::routed(ServerId server) const { return routed_.at(server); }
 
 void PlacementLedger::Grow(int num_servers) {
-  if (static_cast<size_t>(num_servers) > files_.size()) {
-    files_.resize(static_cast<size_t>(num_servers));
+  if (static_cast<size_t>(num_servers) > placed_.size()) {
+    placed_.resize(static_cast<size_t>(num_servers), 0);
     routed_.resize(static_cast<size_t>(num_servers), 0);
   }
 }
@@ -210,9 +211,9 @@ int64_t PlacementLedger::total_routed() const {
 }
 
 void PlacementLedger::Reset() {
-  for (auto& set : files_) {
-    set.clear();
-  }
+  first_home_.clear();
+  later_homes_.clear();
+  std::fill(placed_.begin(), placed_.end(), 0);
   std::fill(routed_.begin(), routed_.end(), 0);
 }
 

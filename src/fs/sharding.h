@@ -33,12 +33,14 @@
 
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/fs/config.h"
 #include "src/fs/types.h"
+#include "src/util/flat_map.h"
 
 namespace sprite {
 
@@ -124,6 +126,11 @@ inline constexpr FileId kDefaultRangeSpan = 2 * FileIdLayout::kTempBase;
 // Pure accounting — it never influences placement — and deterministic, so
 // same-seed runs produce identical ledgers. Reset with the other
 // measurement counters when a warmup window is discarded.
+//
+// A file counts once on every server it was routed to. Nearly every file
+// only ever has one home, so the ledger keeps each file's first home in a
+// flat map and only the rare later homes (after a migration or resize) in
+// a spill set: a repeat routing is one flat probe and no allocation.
 class PlacementLedger {
  public:
   explicit PlacementLedger(int num_servers);
@@ -135,7 +142,7 @@ class PlacementLedger {
   // Total routing decisions that chose `server`.
   int64_t routed(ServerId server) const;
   int64_t total_routed() const;
-  int num_servers() const { return static_cast<int>(files_.size()); }
+  int num_servers() const { return static_cast<int>(placed_.size()); }
 
   // Extends the ledger for a live cluster resize; existing tallies survive.
   void Grow(int num_servers);
@@ -143,7 +150,9 @@ class PlacementLedger {
   void Reset();
 
  private:
-  std::vector<std::unordered_set<FileId>> files_;
+  FlatMap<ServerId> first_home_;
+  std::set<std::pair<FileId, ServerId>> later_homes_;  // homes other than the first
+  std::vector<int64_t> placed_;  // distinct files per server
   std::vector<int64_t> routed_;
 };
 

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <list>
 #include <map>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -15,6 +17,9 @@
 
 namespace sprite {
 namespace {
+
+// An owning writeback for the tests to keep; the cache only borrows it.
+using WritebackFn = std::function<void(BlockKey key, int64_t bytes)>;
 
 CacheConfig SmallConfig(int64_t max_blocks = 4, int64_t min_blocks = 1) {
   CacheConfig c;
@@ -28,7 +33,7 @@ class BlockCacheTest : public ::testing::Test {
   CacheCounters counters_;
   std::vector<std::pair<BlockKey, int64_t>> writebacks_;
 
-  BlockCache::WritebackFn Sink() {
+  WritebackFn Sink() {
     return [this](BlockKey key, int64_t bytes) { writebacks_.emplace_back(key, bytes); };
   }
 };
@@ -125,6 +130,32 @@ TEST_F(BlockCacheTest, CleanAgedFlushesWholeFile) {
   EXPECT_EQ(cache.CleanAged(30 * kSecond, Sink()), 2);
   EXPECT_FALSE(cache.IsDirty({1, 1}));
   EXPECT_TRUE(cache.IsDirty({2, 0}));
+}
+
+TEST_F(BlockCacheTest, CleanAgedAfterOldestDirtyBlockLeaves) {
+  // The file's oldest dirty block is evicted, so the cleaner's per-file
+  // bound on dirty times is stale (too low) until a scan tightens it.
+  BlockCache cache(SmallConfig(8, 1), &counters_);
+  cache.set_limit_blocks(8);
+  cache.Write({1, 0}, 0, 100, Sink());
+  cache.Write({1, 1}, 20 * kSecond, 100, Sink());
+  cache.DemoteToLruTail({1, 0});
+  ASSERT_TRUE(cache.ReleaseLruToVm(21 * kSecond, Sink()));
+  EXPECT_EQ(cache.CleanAged(35 * kSecond, Sink()), 0) << "block 1 is only 15 s dirty";
+  EXPECT_EQ(cache.CleanAged(49 * kSecond, Sink()), 0);
+  EXPECT_EQ(cache.CleanAged(50 * kSecond, Sink()), 1);
+  EXPECT_FALSE(cache.HasDirtyBlocks(1));
+}
+
+TEST_F(BlockCacheTest, CleanAgedSeesEarlierStampedWrites) {
+  // Async server caches take writes stamped with their issue time, so a
+  // later write may carry an earlier `now` than the file's first one.
+  BlockCache cache(SmallConfig(), &counters_);
+  cache.set_limit_blocks(8);
+  cache.Write({1, 0}, 100 * kSecond, 100, Sink());
+  cache.Write({1, 1}, 80 * kSecond, 100, Sink());
+  EXPECT_EQ(cache.CleanAged(109 * kSecond, Sink()), 0);
+  EXPECT_EQ(cache.CleanAged(110 * kSecond, Sink()), 2) << "block 1 is 30 s dirty";
 }
 
 TEST_F(BlockCacheTest, CleanFileReasonAttribution) {
@@ -423,6 +454,21 @@ class ModelCache {
     return files;
   }
 
+  // The dirty block of `file` that has been dirty longest (lowest index on
+  // ties), if any.
+  std::optional<BlockKey> OldestDirtyBlock(uint64_t file) const {
+    std::optional<BlockKey> oldest;
+    SimTime since = 0;
+    for (auto it = blocks_.lower_bound({file, 0}); it != blocks_.end() && it->first.file == file;
+         ++it) {
+      if (it->second.dirty && (!oldest || it->second.dirty_since < since)) {
+        oldest = it->first;
+        since = it->second.dirty_since;
+      }
+    }
+    return oldest;
+  }
+
   uint64_t CachedVersion(uint64_t file) const {
     auto it = versions_.find(file);
     return it == versions_.end() ? 0 : it->second;
@@ -582,13 +628,30 @@ void ExpectSameState(const BlockCache& cache, const ModelCache& model,
   }
 }
 
+// Extra stress for the cleaner's per-file dirty floor (off for the
+// original op mix, whose random streams stay as they were).
+struct OpMix {
+  // Time also steps backwards, as an async server cache sees it: writes
+  // arrive stamped with their issue time, not in order.
+  bool backward_time = false;
+  // Adds an op that evicts a file's oldest dirty block while later ones
+  // stay dirty, so the floor is left below every remaining block.
+  bool evict_oldest_dirty = false;
+};
+
 // One random op applied to both caches, with return values compared.
-void RandomOp(Rng& rng, BlockCache& cache, ModelCache& model, const BlockCache::WritebackFn& sink,
-              std::vector<int64_t>& cursors, SimTime& now) {
+void RandomOp(Rng& rng, BlockCache& cache, ModelCache& model, const WritebackFn& sink,
+              std::vector<int64_t>& cursors, SimTime& now, OpMix mix = {}) {
   // Half-second steps, so block ages often land exactly on the 30-s delay.
   now += static_cast<SimDuration>(rng.NextBelow(6)) * kSecond / 2;
   if (rng.NextBool(0.02)) {
     now += 25 * kSecond;
+  }
+  if (mix.backward_time && rng.NextBool(0.3)) {
+    now -= static_cast<SimDuration>(rng.NextBelow(12)) * kSecond / 2;
+    if (rng.NextBool(0.05)) {
+      now -= 25 * kSecond;
+    }
   }
   const uint64_t file = 1 + rng.NextBelow(5);
   int64_t index = static_cast<int64_t>(rng.NextBelow(40));
@@ -599,7 +662,7 @@ void RandomOp(Rng& rng, BlockCache& cache, ModelCache& model, const BlockCache::
     index = 5000 + static_cast<int64_t>(rng.NextBelow(4));  // sparse far blocks
   }
   const BlockKey key{file, index};
-  switch (rng.NextBelow(17)) {
+  switch (rng.NextBelow(mix.evict_oldest_dirty ? 18 : 17)) {
     case 0:
     case 1:
       ASSERT_EQ(cache.Lookup(key, now), model.Lookup(key, now));
@@ -665,10 +728,29 @@ void RandomOp(Rng& rng, BlockCache& cache, ModelCache& model, const BlockCache::
     case 15:
       if (rng.NextBool(0.05)) {
         const bool nvram = rng.NextBool(0.5);
-        ASSERT_EQ(cache.CrashReset(nvram ? sink : BlockCache::WritebackFn{}),
+        ASSERT_EQ(cache.CrashReset(nvram ? sink : WritebackFn{}),
                   model.CrashReset(nvram));
       }
       break;
+    case 17: {
+      const std::optional<BlockKey> oldest = model.OldestDirtyBlock(file);
+      if (!oldest) {
+        break;
+      }
+      cache.DemoteToLruTail(*oldest);
+      model.DemoteToLruTail(*oldest);
+      if (rng.NextBool(0.5)) {
+        ASSERT_EQ(cache.ReleaseLruToVm(now, sink), model.ReleaseLruToVm(now));
+      } else {
+        // At the limit, one insertion replaces exactly the demoted block.
+        cache.set_limit_blocks(cache.block_count());
+        model.set_limit_blocks(model.block_count());
+        const BlockKey fresh{file, 6000 + static_cast<int64_t>(rng.NextBelow(4))};
+        cache.InsertClean(fresh, now, sink);
+        model.InsertClean(fresh, now);
+      }
+      break;
+    }
     default:
       ASSERT_EQ(cache.IsDirty(key), model.IsDirty(key));
       ASSERT_EQ(cache.Contains(key), model.Contains(key));
@@ -676,7 +758,7 @@ void RandomOp(Rng& rng, BlockCache& cache, ModelCache& model, const BlockCache::
   }
 }
 
-TEST(BlockCacheDifferentialTest, MatchesReferenceModel) {
+void RunDifferential(OpMix mix) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed);
@@ -685,7 +767,7 @@ TEST(BlockCacheDifferentialTest, MatchesReferenceModel) {
     WritebackLog writebacks;
     BlockCache cache(config, &counters);
     ModelCache model(config);
-    const BlockCache::WritebackFn sink = [&](BlockKey key, int64_t bytes) {
+    const WritebackFn sink = [&](BlockKey key, int64_t bytes) {
       writebacks.emplace_back(key, bytes);
     };
     const int64_t limit = rng.NextInRange(4, 48);
@@ -695,12 +777,22 @@ TEST(BlockCacheDifferentialTest, MatchesReferenceModel) {
     SimTime now = 0;
     for (int op = 0; op < 4000; ++op) {
       SCOPED_TRACE("op " + std::to_string(op));
-      RandomOp(rng, cache, model, sink, cursors, now);
+      RandomOp(rng, cache, model, sink, cursors, now, mix);
       ASSERT_FALSE(::testing::Test::HasFatalFailure());
       ExpectSameState(cache, model, writebacks, counters, now);
       ASSERT_FALSE(::testing::Test::HasFatalFailure());
     }
   }
+}
+
+TEST(BlockCacheDifferentialTest, MatchesReferenceModel) { RunDifferential({}); }
+
+TEST(BlockCacheDifferentialTest, MatchesReferenceModelWithBackwardTime) {
+  RunDifferential({.backward_time = true});
+}
+
+TEST(BlockCacheDifferentialTest, MatchesReferenceModelWithStaleDirtyFloors) {
+  RunDifferential({.evict_oldest_dirty = true});
 }
 
 }  // namespace

@@ -124,6 +124,90 @@ TEST(RecoveryTest, ConflictingWriterMakesReopenStale) {
   EXPECT_TRUE(cluster.server(0).OpenStateSharingConsistent());
 }
 
+// ---------------- Reopen storms nested in a cache writeback -------------------
+
+// A block writeback can be the RPC that meets the rebooted server first, so
+// the reopen storm runs inside the cache's own clean or evict pass. Client 0
+// holds three dirty blocks of a file that client 1 rewrites after the crash;
+// the storm finds the reopen stale and drops the file the cache is walking.
+// The storm must still see the file dirty (so it reopens with has_dirty),
+// and the pass must not touch the dropped state afterwards.
+class NestedStormTest : public ::testing::Test {
+ protected:
+  static constexpr FileId kFile = 7;
+
+  explicit NestedStormTest(int64_t cache_blocks = 0) : cluster_(Config(cache_blocks), queue_) {}
+
+  static ClusterConfig Config(int64_t cache_blocks) {
+    ClusterConfig config = SmallCluster();
+    if (cache_blocks > 0) {
+      config.client.cache.min_blocks = cache_blocks;
+      config.client.cache.max_blocks = cache_blocks;
+    }
+    return config;
+  }
+
+  // Leaves client 0 with kFile's three blocks dirty since t=0 and the
+  // server at a newer version after its reboot at t=10 s.
+  HandleId SetUpConflict() {
+    auto a = cluster_.client(0).Open(1, kFile, OpenMode::kWrite, OpenDisposition::kNormal,
+                                     false, 0);
+    cluster_.client(0).Write(a.handle, 3 * kBlockSize, 0);
+    cluster_.CrashServer(0, 10 * kSecond);
+    auto b = cluster_.client(1).Open(2, kFile, OpenMode::kWrite, OpenDisposition::kTruncate,
+                                     false, 13 * kSecond);
+    cluster_.client(1).Write(b.handle, 100, 13 * kSecond);
+    cluster_.client(1).Close(b.handle, 13 * kSecond);
+    return a.handle;
+  }
+
+  // The storm ran once, reopened with has_dirty, and lost.
+  void ExpectStaleReopen() {
+    EXPECT_EQ(cluster_.rpc_ledger().stat(RpcKind::kReopen).calls, 1);
+    EXPECT_EQ(cluster_.client(0).stale_handle_count(), 1);
+  }
+
+  EventQueue queue_;
+  Cluster cluster_;
+};
+
+TEST_F(NestedStormTest, CleanerWritebackDropsFileMidScan) {
+  SetUpConflict();
+  cluster_.client(0).CleanerTick(35 * kSecond);
+  ExpectStaleReopen();
+  const CacheCounters& c = cluster_.client(0).cache_counters();
+  EXPECT_EQ(c.cleaned[static_cast<int>(CleanReason::kDelay)], 1)
+      << "only the block whose writeback ran the storm was cleaned";
+  EXPECT_EQ(cluster_.client(0).cache_size_bytes(), 0);
+}
+
+TEST_F(NestedStormTest, FsyncWritebackDropsFileMidClean) {
+  const HandleId handle = SetUpConflict();
+  cluster_.client(0).Fsync(handle, 14 * kSecond);
+  ExpectStaleReopen();
+  const CacheCounters& c = cluster_.client(0).cache_counters();
+  EXPECT_EQ(c.cleaned[static_cast<int>(CleanReason::kFsync)], 1);
+  EXPECT_EQ(cluster_.client(0).cache_size_bytes(), 0);
+}
+
+class NestedStormEvictionTest : public NestedStormTest {
+ protected:
+  NestedStormEvictionTest() : NestedStormTest(/*cache_blocks=*/3) {}
+};
+
+TEST_F(NestedStormEvictionTest, EvictionWritebackDropsVictimsFile) {
+  const HandleId handle = SetUpConflict();
+  // A fourth block needs room: the dirty LRU tail (block 0) is written back
+  // and the storm drops all three blocks, victim included.
+  cluster_.client(0).Write(handle, kBlockSize, 14 * kSecond);
+  ExpectStaleReopen();
+  const CacheCounters& c = cluster_.client(0).cache_counters();
+  EXPECT_EQ(c.cleaned[static_cast<int>(CleanReason::kReplacement)], 1);
+  EXPECT_EQ(c.replaced_for_file, 0) << "the victim was dropped, not replaced";
+  EXPECT_EQ(cluster_.client(0).cache_size_bytes(), kBlockSize)
+      << "only the newly written block is resident";
+}
+
 // ---------------- Asymmetric partitions --------------------------------------
 
 TEST(RecoveryTest, PartitionDropsCallbacksAndFlagsStaleReads) {

@@ -9,10 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <stdexcept>
 #include <vector>
 
 #include "src/fs/cluster.h"
+#include "src/util/rng.h"
 
 namespace sprite {
 namespace {
@@ -257,6 +260,97 @@ TEST(PlacementLedgerTest, CountsDistinctFilesAndTotalRoutings) {
   ledger.Reset();
   EXPECT_EQ(ledger.files_placed(0), 0);
   EXPECT_EQ(ledger.total_routed(), 0);
+}
+
+TEST(PlacementLedgerTest, MovedFileCountsOnceOnEachHome) {
+  // A migration or resize moves a file's home: it counts once on the old
+  // home and once on each new one, however often it is routed back and
+  // forth.
+  PlacementLedger ledger(3);
+  ledger.Note(0, 7);
+  ledger.Note(1, 7);
+  ledger.Note(1, 7);
+  ledger.Note(0, 7);
+  ledger.Note(2, 7);
+  ledger.Note(1, 7);
+  EXPECT_EQ(ledger.files_placed(0), 1);
+  EXPECT_EQ(ledger.files_placed(1), 1);
+  EXPECT_EQ(ledger.files_placed(2), 1);
+  EXPECT_EQ(ledger.routed(0), 2);
+  EXPECT_EQ(ledger.routed(1), 3);
+  EXPECT_EQ(ledger.routed(2), 1);
+  EXPECT_EQ(ledger.total_routed(), 6);
+}
+
+TEST(PlacementLedgerTest, ResetForgetsEveryHome) {
+  PlacementLedger ledger(2);
+  ledger.Note(0, 7);
+  ledger.Note(1, 7);  // a later home
+  ledger.Reset();
+  EXPECT_EQ(ledger.files_placed(0), 0);
+  EXPECT_EQ(ledger.files_placed(1), 0);
+  // After the reset the file's first routing is its first home again, and
+  // its old homes count afresh.
+  ledger.Note(1, 7);
+  ledger.Note(0, 7);
+  ledger.Note(1, 7);
+  EXPECT_EQ(ledger.files_placed(0), 1);
+  EXPECT_EQ(ledger.files_placed(1), 1);
+  EXPECT_EQ(ledger.total_routed(), 3);
+}
+
+TEST(PlacementLedgerTest, GrowKeepsTalliesAndCountsNewServers) {
+  PlacementLedger ledger(2);
+  ledger.Note(0, 7);
+  ledger.Note(1, 8);
+  ledger.Grow(4);
+  EXPECT_EQ(ledger.num_servers(), 4);
+  EXPECT_EQ(ledger.files_placed(0), 1);
+  EXPECT_EQ(ledger.files_placed(1), 1);
+  EXPECT_EQ(ledger.files_placed(3), 0);
+  ledger.Note(3, 7);  // moved onto a new server
+  ledger.Note(3, 9);
+  EXPECT_EQ(ledger.files_placed(3), 2);
+  EXPECT_EQ(ledger.files_placed(0), 1);
+  ledger.Grow(3);  // never shrinks
+  EXPECT_EQ(ledger.num_servers(), 4);
+  EXPECT_EQ(ledger.total_routed(), 4);
+}
+
+// The ledger restated with one std::set of files per server: random routings
+// over a few servers (a file's home changes now and then), with resets and
+// growth, must agree on every count.
+TEST(PlacementLedgerTest, MatchesPerServerFileSets) {
+  Rng rng(2024);
+  PlacementLedger ledger(2);
+  std::vector<std::set<FileId>> sets(2);
+  std::vector<int64_t> routed(2, 0);
+  for (int op = 0; op < 20'000; ++op) {
+    const uint64_t kind = rng.NextBelow(1000);
+    if (kind == 0) {
+      ledger.Reset();
+      for (auto& set : sets) {
+        set.clear();
+      }
+      std::fill(routed.begin(), routed.end(), 0);
+    } else if (kind == 1 && sets.size() < 6) {
+      ledger.Grow(static_cast<int>(sets.size()) + 1);
+      sets.emplace_back();
+      routed.push_back(0);
+    } else {
+      const auto server = static_cast<ServerId>(rng.NextBelow(sets.size()));
+      const FileId file = rng.NextBelow(300);
+      ledger.Note(server, file);
+      sets[server].insert(file);
+      ++routed[server];
+    }
+    for (size_t s = 0; s < sets.size(); ++s) {
+      ASSERT_EQ(ledger.files_placed(static_cast<ServerId>(s)),
+                static_cast<int64_t>(sets[s].size()))
+          << "op " << op << " server " << s;
+      ASSERT_EQ(ledger.routed(static_cast<ServerId>(s)), routed[s]);
+    }
+  }
 }
 
 // ---------------- Skew statistics ---------------------------------------------
