@@ -1,14 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the simulator
-// substrate: cache operations, the trace codec, the event queue, the
-// distributions, and end-to-end workload generation throughput.
+// substrate: cache operations, span recording, the trace codec, the event
+// queue, the distributions, and end-to-end workload generation throughput.
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 #include <sys/resource.h>
 
 #include <sstream>
 
 #include "src/fs/block_cache.h"
 #include "src/fs/sharding.h"
+#include "src/obs/tracer.h"
 #include "src/sim/event_queue.h"
 #include "src/trace/codec.h"
 #include "src/util/distributions.h"
@@ -120,6 +122,49 @@ void BM_PlacementNote(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PlacementNote);
+
+// malloc's in-use bytes, mmapped chunks included.
+size_t HeapInUseBytes() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+// One million spans into a fresh tracer, cycling through 0, 2 and 6 args
+// (a phase span, a small event, a full RPC parent span). bytes_per_span is
+// the heap the store holds per span just before the tracer is destroyed.
+void BM_SpanEmit(benchmark::State& state) {
+  constexpr int64_t kSpans = 1'000'000;
+  double bytes_per_span = 0.0;
+  for (auto _ : state) {
+    const size_t before = HeapInUseBytes();
+    SpanTracer tracer;
+    for (int64_t i = 0; i < kSpans; ++i) {
+      switch (i % 3) {
+        case 0:
+          tracer.Emit("wire", "rpc.phase", ClientTrack(i & 63), i, 7);
+          break;
+        case 1:
+          tracer.Emit("server.fetch-block", "server", ServerTrack(i & 15), i, 9,
+                      {{"file", i}, {"block", i & 7}});
+          break;
+        default:
+          tracer.Emit("read-block", "rpc", ClientTrack(i & 63), i, 11,
+                      {{"server", i & 15},
+                       {"bytes", 4096},
+                       {"retries", 0},
+                       {"timeouts", 0},
+                       {"net_us", 6500},
+                       {"wait_us", 0}});
+          break;
+      }
+    }
+    benchmark::DoNotOptimize(tracer.spans().size());
+    bytes_per_span = static_cast<double>(HeapInUseBytes() - before) / kSpans;
+  }
+  state.counters["bytes_per_span"] = bytes_per_span;
+  state.SetItemsProcessed(state.iterations() * kSpans);
+}
+BENCHMARK(BM_SpanEmit)->Unit(benchmark::kMillisecond);
 
 void BM_TraceEncode(benchmark::State& state) {
   TraceLog log;

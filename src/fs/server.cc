@@ -188,9 +188,8 @@ Server::FileMeta& Server::EnsureFile(FileId file) {
 void Server::CreateFile(FileId file, bool is_directory, SimTime now) {
   (void)now;
   FileMeta& meta = EnsureFile(file);
-  meta.exists = true;
+  SetExtent(meta, /*exists=*/true, /*size=*/0);
   meta.is_directory = is_directory;
-  meta.size = 0;
   ++meta.version;
   meta.last_writer.reset();
 }
@@ -215,8 +214,7 @@ int64_t Server::DeleteFile(FileId file, ClientId caller, SimTime now) {
     segment_log_->DeleteFile(file);
   }
   const int64_t size = meta.size;
-  meta.exists = false;
-  meta.size = 0;
+  SetExtent(meta, /*exists=*/false, /*size=*/0);
   ++meta.version;
   return size;
 }
@@ -232,7 +230,7 @@ int64_t Server::TruncateFile(FileId file, ClientId caller, SimTime now) {
     segment_log_->DeleteFile(file);
   }
   const int64_t size = meta.size;
-  meta.size = 0;
+  SetExtent(meta, /*exists=*/true, /*size=*/0);
   ++meta.version;
   return size;
 }
@@ -247,17 +245,28 @@ int64_t Server::FileSize(FileId file) const {
   return it == files_.end() ? 0 : it->second.size;
 }
 
-void Server::SetFileSize(FileId file, int64_t size) { EnsureFile(file).size = size; }
+void Server::SetFileSize(FileId file, int64_t size) {
+  FileMeta& meta = EnsureFile(file);
+  SetExtent(meta, meta.exists, size);
+}
 
-int64_t Server::HomedBytes() const {
-  int64_t total = 0;
-  for (const auto& [file, meta] : files_) {
-    (void)file;
-    if (meta.exists) {
-      total += meta.size;
-    }
-  }
-  return total;
+void Server::SetExtent(FileMeta& meta, bool exists, int64_t size) {
+  homed_bytes_ += (exists ? size : 0) - (meta.exists ? meta.size : 0);
+  meta.exists = exists;
+  meta.size = size;
+}
+
+void Server::PutMeta(FileId file, const FileMeta& meta) {
+  FileMeta& slot = files_[file];
+  SetExtent(slot, meta.exists, meta.size);
+  slot = meta;
+}
+
+Server::FileMeta Server::TakeMeta(std::unordered_map<FileId, FileMeta>::iterator it) {
+  FileMeta meta = it->second;
+  SetExtent(it->second, /*exists=*/false, /*size=*/0);
+  files_.erase(it);
+  return meta;
 }
 
 bool Server::ComputeWriteShared(const OpenState& state) {
@@ -345,7 +354,8 @@ Server::OpenReply Server::Open(ClientId client, FileId file, OpenMode mode, bool
 
   FileMeta& meta = EnsureFile(file);
   if (!meta.exists) {
-    meta.exists = true;  // open-creates for simplicity of the workload layer
+    // Open-creates for simplicity of the workload layer.
+    SetExtent(meta, /*exists=*/true, meta.size);
   }
   meta.is_directory = is_directory;
   if (is_directory) {
@@ -402,7 +412,7 @@ Server::CloseReply Server::Close(ClientId client, FileId file, OpenMode mode, bo
   if (wrote) {
     ++meta.version;
     meta.last_writer = client;
-    meta.size = final_size;
+    SetExtent(meta, meta.exists, final_size);
   }
   reply.version = meta.version;
 
@@ -489,7 +499,7 @@ SimDuration Server::Writeback(FileId file, int64_t block, int64_t bytes, bool pa
   FileMeta& meta = EnsureFile(file);
   const int64_t end = block * kBlockSize + bytes;
   if (end > meta.size) {
-    meta.size = end;
+    SetExtent(meta, meta.exists, end);
   }
   return 0;
 }
@@ -706,11 +716,11 @@ void Server::ShadowBlockClean(FileId file, int64_t block) {
     return;
   }
   ShadowFile& sf = sit->second;
-  for (auto it = sf.dirty.begin(); it != sf.dirty.end(); ++it) {
-    if (it->first == block) {
-      sf.dirty.erase(it);
-      break;
-    }
+  auto it = std::lower_bound(
+      sf.dirty.begin(), sf.dirty.end(), block,
+      [](const std::pair<int64_t, int64_t>& p, int64_t b) { return p.first < b; });
+  if (it != sf.dirty.end() && it->first == block) {
+    sf.dirty.erase(it);
   }
   if (sf.empty()) {
     shadow_.erase(sit);
@@ -740,8 +750,7 @@ int64_t Server::TakeOverMetadata(Server& failed, const std::function<bool(FileId
   std::sort(moved.begin(), moved.end());
   for (FileId file : moved) {
     // The failed home's disk image is authoritative for its files.
-    files_[file] = failed.files_[file];
-    failed.files_.erase(file);
+    PutMeta(file, failed.TakeMeta(failed.files_.find(file)));
   }
   return static_cast<int64_t>(moved.size());
 }
@@ -841,8 +850,7 @@ Server::MigratedFile Server::ExportFile(FileId file, SimTime now) {
     return image;
   }
   image.valid = true;
-  image.meta = fit->second;
-  files_.erase(fit);
+  image.meta = TakeMeta(fit);
   if (auto oit = open_states_.find(file); oit != open_states_.end()) {
     image.cacheable = oit->second.cacheable;
     image.opens.reserve(oit->second.opens.size());
@@ -861,7 +869,7 @@ void Server::ImportFile(FileId file, const MigratedFile& image) {
   if (!image.valid) {
     return;
   }
-  files_[file] = image.meta;
+  PutMeta(file, image.meta);
   if (!image.opens.empty()) {
     OpenState& state = open_states_[file];
     for (const MigratedOpen& e : image.opens) {

@@ -329,10 +329,10 @@ class Server {
   const Disk& disk() const { return disk_; }
   int64_t cache_size_bytes() const { return cache_.size_bytes(); }
   // Total bytes of live (existing) files whose metadata this server owns —
-  // the storage side of placement skew ("server.N.bytes_homed" gauge and
-  // the --shard-report table). Walks the metadata map; call at reporting
-  // granularity, not per operation.
-  int64_t HomedBytes() const;
+  // the storage side of placement skew ("server.N.bytes_homed" gauge, the
+  // Rebalancer and the --shard-report table). A running sum kept by
+  // SetExtent, so O(1).
+  int64_t HomedBytes() const { return homed_bytes_; }
   ConsistencyPolicy policy() const { return policy_; }
   int open_state_count() const { return static_cast<int>(open_states_.size()); }
   // Test hook: recomputes every open state's write-sharing bit from its
@@ -376,11 +376,21 @@ class Server {
   struct ShadowFile {
     std::vector<ShadowOpenEntry> opens;       // sorted by client
     std::optional<ClientId> last_writer;
-    std::vector<std::pair<int64_t, int64_t>> dirty;  // (block, extent), sorted
+    // (block, extent), sorted. A deque because the primary writes and cleans
+    // a file's blocks in ascending order: inserts land at the back and
+    // cleans at the front, and a deque shifts only the shorter side.
+    std::deque<std::pair<int64_t, int64_t>> dirty;
     bool empty() const { return opens.empty() && !last_writer.has_value() && dirty.empty(); }
   };
 
   FileMeta& EnsureFile(FileId file);
+  // The one writer of FileMeta::exists and ::size: sets both and keeps
+  // homed_bytes_ equal to the summed size of every existing file in files_.
+  void SetExtent(FileMeta& meta, bool exists, int64_t size);
+  // Installs `meta` as the metadata of `file` (replacing any), and removes
+  // one file's metadata returning it; both through SetExtent.
+  void PutMeta(FileId file, const FileMeta& meta);
+  FileMeta TakeMeta(std::unordered_map<FileId, FileMeta>::iterator it);
   // True if `state` is in concurrent write-sharing (open on more than one
   // client with at least one writer). Reads the cached bit.
   static bool IsWriteShared(const OpenState& state) { return state.write_shared; }
@@ -440,6 +450,8 @@ class Server {
   ServerCounters counters_;
 
   std::unordered_map<FileId, FileMeta> files_;
+  // Sum of size over existing files in files_ (see SetExtent).
+  int64_t homed_bytes_ = 0;
   std::unordered_map<FileId, OpenState> open_states_;
   // Standby role: shadows of the homes this server backs up. Ordered map so
   // fail-over installation and resync walk files deterministically. Volatile

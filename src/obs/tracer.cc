@@ -1,7 +1,9 @@
 #include "src/obs/tracer.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <stdexcept>
 
 namespace sprite {
 
@@ -28,12 +30,12 @@ void AppendEscaped(std::string& out, std::string_view s) {
   }
 }
 
-void AppendEvent(std::string& out, bool& first, const std::string& event) {
+void WriteEvent(std::ostream& out, bool& first, const std::string& event) {
   if (!first) {
-    out += ",\n";
+    out << ",\n";
   }
   first = false;
-  out += event;
+  out << event;
 }
 
 }  // namespace
@@ -60,26 +62,51 @@ int32_t CounterTrackPid(std::string_view name) {
   return kMetricsPid;
 }
 
+uint16_t SpanTracer::CategoryIndex(const char* category) {
+  size_t i = 0;
+  while (i < categories_.size() && categories_[i] != category) {
+    ++i;
+  }
+  if (i == categories_.size()) {
+    i = 0;
+    while (i < categories_.size() && std::string_view(categories_[i]) != category) {
+      ++i;
+    }
+  }
+  if (i == categories_.size()) {
+    if (i > UINT16_MAX) {
+      throw std::length_error("SpanTracer: too many distinct span categories");
+    }
+    categories_.push_back(category);
+  }
+  return static_cast<uint16_t>(i);
+}
+
 void SpanTracer::Emit(const char* name, const char* category, SpanTrack track, SimTime start,
                       SimDuration duration, std::initializer_list<Span::Arg> args) {
+  const size_t num_args = std::min<size_t>(args.size(), Span::kMaxArgs);
+  headers_.push_back(SpanHeader{name, start, duration, track,
+                                static_cast<uint32_t>(args_.size()), CategoryIndex(category),
+                                static_cast<uint16_t>(num_args)});
+  args_.insert(args_.end(), args.begin(), args.begin() + num_args);
+}
+
+Span SpanTracer::SpanAt(size_t i) const {
+  const SpanHeader& h = headers_[i];
   Span span;
-  span.name = name;
-  span.category = category;
-  span.track = track;
-  span.start = start;
-  span.duration = duration;
-  for (const Span::Arg& arg : args) {
-    if (span.num_args == Span::kMaxArgs) {
-      break;
-    }
-    span.args[span.num_args++] = arg;
-  }
-  spans_.push_back(span);
+  span.name = h.name;
+  span.category = categories_[h.category];
+  span.track = h.track;
+  span.start = h.start;
+  span.duration = h.duration;
+  span.num_args = h.num_args;
+  std::copy_n(args_.begin() + h.first_arg, h.num_args, span.args);
+  return span;
 }
 
 void SpanTracer::WriteChromeTrace(std::ostream& out,
                                   const MetricsRegistry* metrics) const {
-  std::string body;
+  out << "{\"traceEvents\":[\n";
   bool first = true;
   char buf[256];
 
@@ -89,7 +116,7 @@ void SpanTracer::WriteChromeTrace(std::ostream& out,
     e += ",\"tid\":0,\"args\":{\"name\":\"";
     AppendEscaped(e, name);
     e += "\"}}";
-    AppendEvent(body, first, e);
+    WriteEvent(out, first, e);
   }
   for (const auto& [key, name] : thread_names_) {
     std::string e = "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":";
@@ -99,10 +126,10 @@ void SpanTracer::WriteChromeTrace(std::ostream& out,
     e += ",\"args\":{\"name\":\"";
     AppendEscaped(e, name);
     e += "\"}}";
-    AppendEvent(body, first, e);
+    WriteEvent(out, first, e);
   }
 
-  for (const Span& span : spans_) {
+  for (const Span span : spans()) {
     std::string e = "{\"ph\":\"X\",\"name\":\"";
     AppendEscaped(e, span.name);
     e += "\",\"cat\":\"";
@@ -125,7 +152,7 @@ void SpanTracer::WriteChromeTrace(std::ostream& out,
       e += "}";
     }
     e += "}";
-    AppendEvent(body, first, e);
+    WriteEvent(out, first, e);
   }
 
   if (metrics != nullptr) {
@@ -141,18 +168,18 @@ void SpanTracer::WriteChromeTrace(std::ostream& out,
                       CounterTrackPid(s.name), static_cast<long long>(snapshot.time),
                       static_cast<long long>(s.value));
         e += buf;
-        AppendEvent(body, first, e);
+        WriteEvent(out, first, e);
       }
     }
     if (!metrics->history().empty()) {
       std::string e = "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":";
       e += std::to_string(kMetricsPid);
       e += ",\"tid\":0,\"args\":{\"name\":\"metrics\"}}";
-      AppendEvent(body, first, e);
+      WriteEvent(out, first, e);
     }
   }
 
-  out << "{\"traceEvents\":[\n" << body << "\n],\"displayTimeUnit\":\"ms\"}\n";
+  out << "\n],\"displayTimeUnit\":\"ms\"}\n";
 }
 
 }  // namespace sprite

@@ -13,14 +13,20 @@
 // the unit the trace-event format expects.
 //
 // Span names, categories, and argument keys are string literals owned by
-// the emitting call sites; the tracer stores the pointers, so emission
-// never allocates beyond the span vector itself.
+// the emitting call sites; the tracer stores the pointers, never copies of
+// the strings. Each span is stored as a fixed 40-byte header in one deque
+// and only the args actually passed in a second one, so emission appends
+// to two deques (an occasional fixed-size block allocation, never a
+// whole-store reallocation) and memory grows with what was recorded.
 
 #ifndef SPRITE_DFS_SRC_OBS_TRACER_H_
 #define SPRITE_DFS_SRC_OBS_TRACER_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <initializer_list>
+#include <iterator>
 #include <map>
 #include <ostream>
 #include <string>
@@ -93,6 +99,53 @@ struct Span {
 
 class SpanTracer {
  public:
+  // Read-only view of the recorded spans, in emission order. Elements are
+  // materialized as Span values on access.
+  class SpanView {
+   public:
+    class Iterator {
+     public:
+      // A forward iterator whose reference is a Span value (a proxy, like
+      // std::views::iota's), hence the input category for legacy code.
+      using iterator_concept = std::forward_iterator_tag;
+      using iterator_category = std::input_iterator_tag;
+      using value_type = Span;
+      using difference_type = std::ptrdiff_t;
+      using pointer = void;
+      using reference = Span;
+
+      Iterator() = default;
+      Span operator*() const { return tracer_->SpanAt(index_); }
+      Iterator& operator++() {
+        ++index_;
+        return *this;
+      }
+      Iterator operator++(int) {
+        Iterator prev = *this;
+        ++index_;
+        return prev;
+      }
+      bool operator==(const Iterator&) const = default;
+
+     private:
+      friend class SpanView;
+      Iterator(const SpanTracer* tracer, size_t index) : tracer_(tracer), index_(index) {}
+      const SpanTracer* tracer_ = nullptr;
+      size_t index_ = 0;
+    };
+
+    size_t size() const { return tracer_->headers_.size(); }
+    bool empty() const { return tracer_->headers_.empty(); }
+    Span operator[](size_t i) const { return tracer_->SpanAt(i); }
+    Iterator begin() const { return Iterator(tracer_, 0); }
+    Iterator end() const { return Iterator(tracer_, size()); }
+
+   private:
+    friend class SpanTracer;
+    explicit SpanView(const SpanTracer* tracer) : tracer_(tracer) {}
+    const SpanTracer* tracer_;
+  };
+
   SpanTracer() = default;
   SpanTracer(const SpanTracer&) = delete;
   SpanTracer& operator=(const SpanTracer&) = delete;
@@ -110,19 +163,45 @@ class SpanTracer {
   void Emit(const char* name, const char* category, SpanTrack track, SimTime start,
             SimDuration duration, std::initializer_list<Span::Arg> args = {});
 
-  const std::vector<Span>& spans() const { return spans_; }
+  SpanView spans() const { return SpanView(this); }
   // Drops recorded spans (track names are wiring, not measurements, and are
   // kept) — used to discard a warmup window.
-  void Reset() { spans_.clear(); }
+  void Reset() {
+    headers_.clear();
+    args_.clear();
+  }
 
-  // Writes the full trace as Chrome trace-event JSON. When `metrics` is
-  // non-null, every retained snapshot's counters and gauges are exported as
-  // "C" (counter) events on a synthetic metrics process, so Perfetto plots
-  // them as counter tracks alongside the spans.
+  // Writes the full trace as Chrome trace-event JSON, event by event. When
+  // `metrics` is non-null, every retained snapshot's counters and gauges are
+  // exported as "C" (counter) events on a synthetic metrics process, so
+  // Perfetto plots them as counter tracks alongside the spans.
   void WriteChromeTrace(std::ostream& out, const MetricsRegistry* metrics = nullptr) const;
 
  private:
-  std::vector<Span> spans_;
+  // The stored form of one span: its args are args_[first_arg, first_arg +
+  // num_args) (a 32-bit index: a store holds under 2^32 args, 64 GiB of
+  // them), and its category is an index into categories_ (a handful of
+  // distinct literals), which keeps the header at 40 bytes.
+  struct SpanHeader {
+    const char* name;
+    SimTime start;
+    SimDuration duration;
+    SpanTrack track;
+    uint32_t first_arg;
+    uint16_t category;
+    uint16_t num_args;
+  };
+  static_assert(sizeof(SpanHeader) <= 40, "span header must stay compact");
+
+  Span SpanAt(size_t i) const;
+  // Index of `category` in categories_, appending it when new. Compares
+  // pointers first (one literal per call site) and content second, so the
+  // table holds each distinct category string once.
+  uint16_t CategoryIndex(const char* category);
+
+  std::deque<SpanHeader> headers_;
+  std::deque<Span::Arg> args_;
+  std::vector<const char*> categories_;
   std::map<int32_t, std::string> process_names_;
   std::map<std::pair<int32_t, int32_t>, std::string> thread_names_;
 };

@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <memory>
+#include <sstream>
 #include <string>
 
 #include "src/fs/cluster.h"
 #include "src/fs/counters.h"
+#include "src/fs/rebalance.h"
 #include "src/fs/rpc.h"
 #include "src/obs/observability.h"
 #include "src/workload/generator.h"
@@ -37,19 +41,25 @@ ClusterConfig ObsCluster(bool metrics, bool tracing) {
 struct ObsRun {
   TraceLog trace;
   RpcLedger ledger;
-  std::vector<Span> spans;
   std::vector<MetricsSnapshot> history;
   MetricsSnapshot final_snapshot;
+  // The finished run, kept alive for its span store.
+  std::unique_ptr<Generator> generator;
+
+  // Valid only for runs with tracing on.
+  SpanTracer::SpanView spans() const {
+    return generator->cluster().observability()->tracer().spans();
+  }
 };
 
 ObsRun RunObserved(bool metrics = true, bool tracing = true) {
-  Generator generator(QuickParams(), ObsCluster(metrics, tracing));
   ObsRun run;
+  run.generator = std::make_unique<Generator>(QuickParams(), ObsCluster(metrics, tracing));
+  Generator& generator = *run.generator;
   run.trace = generator.Run(10 * kMinute, /*warmup=*/2 * kMinute);
   run.ledger = generator.cluster().rpc_ledger();
   const Observability* obs = generator.cluster().observability();
   if (obs != nullptr) {
-    run.spans = obs->tracer().spans();
     run.history = obs->metrics().history();
     run.final_snapshot = obs->metrics().Snapshot(generator.queue().now());
   }
@@ -61,9 +71,11 @@ TEST(ObservabilityTest, SameSeedRunsProduceIdenticalStreams) {
   const ObsRun b = RunObserved();
   EXPECT_EQ(a.trace, b.trace);
   EXPECT_EQ(a.ledger, b.ledger);
-  ASSERT_EQ(a.spans.size(), b.spans.size());
-  for (size_t i = 0; i < a.spans.size(); ++i) {
-    ASSERT_TRUE(a.spans[i] == b.spans[i]) << "span " << i << " differs";
+  const SpanTracer::SpanView spans_a = a.spans();
+  const SpanTracer::SpanView spans_b = b.spans();
+  ASSERT_EQ(spans_a.size(), spans_b.size());
+  for (size_t i = 0; i < spans_a.size(); ++i) {
+    ASSERT_TRUE(spans_a[i] == spans_b[i]) << "span " << i << " differs";
   }
   EXPECT_EQ(a.history, b.history);
   EXPECT_EQ(a.final_snapshot.samples, b.final_snapshot.samples);
@@ -83,7 +95,7 @@ TEST(ObservabilityTest, InstrumentationDoesNotPerturbTheSimulation) {
 TEST(ObservabilityTest, RpcSpanCountsMatchLedgerCalls) {
   const ObsRun run = RunObserved();
   std::map<std::string, int64_t> span_calls;
-  for (const Span& s : run.spans) {
+  for (const Span s : run.spans()) {
     const std::string cat = s.category;
     if (cat == "rpc" || cat == "rpc.callback") {
       ++span_calls[s.name];
@@ -314,7 +326,7 @@ TEST(ObservabilityTest, ServerAndCacheSpansUseTheirOwnTracks) {
   const ObsRun run = RunObserved();
   bool saw_server_span = false;
   bool saw_cache_span = false;
-  for (const Span& s : run.spans) {
+  for (const Span s : run.spans()) {
     const std::string cat = s.category;
     if (cat == "server") {
       saw_server_span = true;
@@ -327,6 +339,52 @@ TEST(ObservabilityTest, ServerAndCacheSpansUseTheirOwnTracks) {
   }
   EXPECT_TRUE(saw_server_span);
   EXPECT_TRUE(saw_cache_span);
+}
+
+// FNV-1a 64 over the bytes of `s`.
+uint64_t Fnv1a64(const std::string& s) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Pins the full Chrome-trace export of a run with every observed subsystem
+// on: async transport, batching, replication with a fail-over, rebalancing
+// with a forced drain, metrics, critical path, and the hot-spot detector.
+// The span store and the writer must reproduce these bytes exactly; any
+// change to the spans emitted, their order, their args, or the metrics
+// history shows up here.
+TEST(ObservabilityTest, ChromeTraceExportMatchesGolden) {
+  ClusterConfig config = HotspotCluster(ShardingPolicy::kModulo);
+  config.num_servers = 4;
+  config.rpc.batching = true;
+  config.replication.enabled = true;
+  config.rebalance.enabled = true;
+  config.observability.tracing = true;
+  config.observability.critical_path = true;
+  Generator generator(HeavyParams(), config);
+  Cluster& cluster = generator.cluster();
+  generator.queue().Schedule(4 * kMinute, [&cluster] { cluster.CrashServer(1, 30 * kSecond); });
+  generator.queue().Schedule(6 * kMinute, [&generator] {
+    generator.cluster().MigrateOffServer(2, generator.queue().now());
+  });
+  generator.Run(10 * kMinute, /*warmup=*/2 * kMinute);
+
+  const Observability* obs = cluster.observability();
+  ASSERT_NE(obs, nullptr);
+  EXPECT_EQ(cluster.failovers(), 1);
+  ASSERT_NE(cluster.rebalancer(), nullptr);
+  EXPECT_GT(cluster.rebalancer()->migrations(), 0);
+  EXPECT_GT(obs->tracer().spans().size(), 10000u);
+
+  std::ostringstream out;
+  obs->tracer().WriteChromeTrace(out, &obs->metrics());
+  const std::string json = out.str();
+  EXPECT_EQ(Fnv1a64(json), 0xae7df3d8cff7f9f5ull)
+      << std::hex << Fnv1a64(json) << std::dec << " over " << json.size() << " bytes";
 }
 
 }  // namespace

@@ -238,8 +238,8 @@ TEST(RpcAsyncClusterTest, SameSeedAsyncRunsAreIdentical) {
   const TraceLog trace_b = b.Run(10 * kMinute, /*warmup=*/2 * kMinute);
   EXPECT_EQ(trace_a, trace_b);
   EXPECT_EQ(a.cluster().rpc_ledger(), b.cluster().rpc_ledger());
-  const auto& spans_a = a.cluster().observability()->tracer().spans();
-  const auto& spans_b = b.cluster().observability()->tracer().spans();
+  const SpanTracer::SpanView spans_a = a.cluster().observability()->tracer().spans();
+  const SpanTracer::SpanView spans_b = b.cluster().observability()->tracer().spans();
   ASSERT_EQ(spans_a.size(), spans_b.size());
   for (size_t i = 0; i < spans_a.size(); ++i) {
     ASSERT_TRUE(spans_a[i] == spans_b[i]) << "span " << i << " differs";
@@ -268,7 +268,7 @@ TEST(RpcAsyncClusterTest, ObservabilityDoesNotPerturbAsyncRuns) {
   ASSERT_NE(rec, nullptr);
   EXPECT_GT(rec->count(), 0);
   bool saw_queued_span = false;
-  for (const Span& s : observed.cluster().observability()->tracer().spans()) {
+  for (const Span s : observed.cluster().observability()->tracer().spans()) {
     // string_view: literal addresses differ across translation units when
     // the build does not merge string constants (e.g. sanitizers).
     if (std::string_view(s.name) == "rpc.queued") {

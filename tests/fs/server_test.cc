@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "src/util/rng.h"
+
 namespace sprite {
 namespace {
 
@@ -227,6 +229,103 @@ TEST_F(ServerTest, PassThroughCountsSharedTraffic) {
 TEST_F(ServerTest, DirectoryReadCounted) {
   server_.ReadDirectory(9, 2048, 0);
   EXPECT_EQ(server_.counters().dir_read_bytes, 2048);
+}
+
+// Reference for Server::HomedBytes: a full scan of the metadata table.
+int64_t ScanHomedBytes(const Server& server) {
+  int64_t total = 0;
+  for (FileId f : server.AllFileIds()) {
+    total += server.FileExists(f) ? server.FileSize(f) : 0;
+  }
+  return total;
+}
+
+// Every metadata mutation — on either side of a fail-over or a migration —
+// must keep the running homed-bytes sum equal to a full scan.
+TEST(ServerHomedBytesTest, RunningSumMatchesAScanAfterEveryStep) {
+  FakeControl control;
+  Server a(0, ServerConfig{}, DiskConfig{}, ConsistencyPolicy::kSprite);
+  Server b(1, ServerConfig{}, DiskConfig{}, ConsistencyPolicy::kSprite);
+  for (ClientId c = 0; c < 3; ++c) {
+    a.RegisterClient(c, &control);
+    b.RegisterClient(c, &control);
+  }
+  Rng rng(20261017);
+  constexpr int kFiles = 24;
+  SimTime now = 0;
+  for (int step = 0; step < 5000; ++step) {
+    now += kMillisecond;
+    const bool on_a = rng.NextBelow(2) == 0;
+    Server& s = on_a ? a : b;
+    Server& other = on_a ? b : a;
+    const FileId f = rng.NextBelow(kFiles);
+    const ClientId c = static_cast<ClientId>(rng.NextBelow(3));
+    const int64_t size = rng.NextInRange(0, 64 * kKilobyte);
+    const int op = static_cast<int>(rng.NextBelow(10));
+    switch (op) {
+      case 0:
+        s.CreateFile(f, /*is_directory=*/rng.NextBelow(8) == 0, now);
+        break;
+      case 1: {
+        const OpenMode mode = rng.NextBelow(2) == 0 ? OpenMode::kRead : OpenMode::kWrite;
+        s.Open(c, f, mode, /*is_directory=*/false, now);
+        break;
+      }
+      case 2:
+        s.Close(c, f, OpenMode::kWrite, /*wrote=*/rng.NextBelow(4) != 0, size, now);
+        break;
+      case 3:
+        s.Writeback(f, rng.NextBelow(20), rng.NextInRange(1, kBlockSize), /*paging=*/false, now);
+        break;
+      case 4:
+        s.TruncateFile(f, c, now);
+        break;
+      case 5:
+        s.DeleteFile(f, c, now);
+        break;
+      case 6:
+        s.SetFileSize(f, size);
+        break;
+      case 7:
+        other.ImportFile(f, s.ExportFile(f, now));
+        break;
+      case 8: {
+        const FileId residue = rng.NextBelow(3);
+        s.TakeOverMetadata(other, [residue](FileId id) { return id % 3 == residue; });
+        break;
+      }
+      default:
+        s.Open(c, f, OpenMode::kWrite, /*is_directory=*/false, now);
+        s.Close(c, f, OpenMode::kWrite, /*wrote=*/true, size, now);
+        break;
+    }
+    ASSERT_EQ(a.HomedBytes(), ScanHomedBytes(a)) << "server a, step " << step << " op " << op;
+    ASSERT_EQ(b.HomedBytes(), ScanHomedBytes(b)) << "server b, step " << step << " op " << op;
+  }
+  EXPECT_GT(a.HomedBytes() + b.HomedBytes(), 0) << "the sequence must leave live bytes";
+}
+
+// A resynced shadow's dirty extents are dropped one block at a time as the
+// primary's cleaner makes them durable, in any order; once the last one is
+// clean the shadow holds nothing for the file.
+TEST(ServerShadowTest, ResyncedShadowEmptiesAsBlocksAreCleaned) {
+  Server primary(0, ServerConfig{}, DiskConfig{}, ConsistencyPolicy::kSprite);
+  Server standby(1, ServerConfig{}, DiskConfig{}, ConsistencyPolicy::kSprite);
+  primary.CreateFile(7, /*is_directory=*/false, 0);
+  const std::vector<int64_t> blocks = {9, 0, 4, 13, 2, 7};
+  for (int64_t block : blocks) {
+    primary.Writeback(7, block, kBlockSize, /*paging=*/false, 1);
+  }
+  standby.ResyncShadowFrom(primary, [](FileId) { return true; });
+  ASSERT_EQ(standby.shadow_file_count(), 1);
+
+  standby.ShadowBlockClean(7, 5);  // never dirty: a no-op
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    EXPECT_EQ(standby.shadow_file_count(), 1) << "after " << i << " cleans";
+    standby.ShadowBlockClean(7, blocks[i]);
+    standby.ShadowBlockClean(7, blocks[i]);  // repeated clean: a no-op
+  }
+  EXPECT_EQ(standby.shadow_file_count(), 0);
 }
 
 }  // namespace

@@ -21,7 +21,7 @@ TEST(SpanTracerTest, EmitRecordsSpansInOrder) {
   tracer.Emit("open", "rpc", ClientTrack(0), 100, 50, {{"server", 2}, {"bytes", 128}});
   tracer.Emit("read-block", "rpc", ClientTrack(1), 200, 7000);
   ASSERT_EQ(tracer.spans().size(), 2u);
-  const Span& s = tracer.spans()[0];
+  const Span s = tracer.spans()[0];
   EXPECT_STREQ(s.name, "open");
   EXPECT_STREQ(s.category, "rpc");
   EXPECT_EQ(s.start, 100);
@@ -40,12 +40,78 @@ TEST(SpanTracerTest, ExtraArgsBeyondMaxAreDropped) {
   EXPECT_EQ(tracer.spans()[0].num_args, Span::kMaxArgs);
 }
 
+TEST(SpanTracerTest, ViewReturnsEachSpanWithItsOwnArgs) {
+  SpanTracer tracer;
+  for (int i = 0; i < 1000; ++i) {
+    const int64_t v = i;
+    switch (i % 3) {
+      case 0:
+        tracer.Emit("bare", "a", ClientTrack(i % 7), i, 2 * i);
+        break;
+      case 1:
+        tracer.Emit("pair", "b", ServerTrack(i % 5), i, 3 * i, {{"x", v}, {"y", -v}});
+        break;
+      default:
+        tracer.Emit("full", "a", ClientTrack(1), i, 4 * i,
+                    {{"a", v}, {"b", v + 1}, {"c", v + 2}, {"d", v + 3}, {"e", v + 4},
+                     {"f", v + 5}});
+        break;
+    }
+  }
+  const SpanTracer::SpanView spans = tracer.spans();
+  ASSERT_EQ(spans.size(), 1000u);
+  size_t i = 0;
+  for (const Span s : spans) {
+    EXPECT_TRUE(s == spans[i]) << "span " << i;
+    EXPECT_EQ(s.start, static_cast<SimTime>(i));
+    switch (i % 3) {
+      case 0:
+        EXPECT_STREQ(s.name, "bare");
+        EXPECT_STREQ(s.category, "a");
+        EXPECT_EQ(s.num_args, 0);
+        break;
+      case 1:
+        EXPECT_STREQ(s.category, "b");
+        ASSERT_EQ(s.num_args, 2);
+        EXPECT_STREQ(s.args[1].key, "y");
+        EXPECT_EQ(s.args[1].value, -static_cast<int64_t>(i));
+        break;
+      default:
+        ASSERT_EQ(s.num_args, Span::kMaxArgs);
+        EXPECT_STREQ(s.args[5].key, "f");
+        EXPECT_EQ(s.args[5].value, static_cast<int64_t>(i) + 5);
+        break;
+    }
+    ++i;
+  }
+  EXPECT_EQ(i, spans.size());
+}
+
+TEST(SpanTracerTest, CategoriesWithEqualContentShareOneEntry) {
+  const std::string cat1 = "rpc";
+  const std::string cat2 = "rpc";  // distinct storage, equal content
+  SpanTracer tracer;
+  tracer.Emit("open", cat1.c_str(), ClientTrack(0), 0, 1);
+  tracer.Emit("open", "server", ClientTrack(0), 0, 1);
+  tracer.Emit("open", cat2.c_str(), ClientTrack(0), 0, 1);
+  EXPECT_STREQ(tracer.spans()[0].category, "rpc");
+  EXPECT_STREQ(tracer.spans()[1].category, "server");
+  EXPECT_STREQ(tracer.spans()[2].category, "rpc");
+  EXPECT_TRUE(tracer.spans()[0] == tracer.spans()[2]);
+}
+
 TEST(SpanTracerTest, ResetDropsSpansButKeepsTrackNames) {
   SpanTracer tracer;
   tracer.SetProcessName(ClientTrack(0).pid, "client 0");
   tracer.Emit("open", "rpc", ClientTrack(0), 0, 1);
   tracer.Reset();
   EXPECT_TRUE(tracer.spans().empty());
+  // Spans recorded after a reset carry their own args, not stale ones.
+  tracer.Emit("close", "rpc", ClientTrack(0), 5, 1, {{"bytes", 9}});
+  ASSERT_EQ(tracer.spans().size(), 1u);
+  ASSERT_EQ(tracer.spans()[0].num_args, 1);
+  EXPECT_EQ(tracer.spans()[0].args[0].value, 9);
+  tracer.Reset();
   std::ostringstream out;
   tracer.WriteChromeTrace(out);
   EXPECT_NE(out.str().find("\"process_name\""), std::string::npos);
