@@ -66,7 +66,7 @@ class Client final : public CacheControl {
   // fills, write fetches, delayed-write cleanings, and consistency recalls.
   void AttachObservability(Observability* obs);
 
-  // Event-driven transport mode (RpcConfig::async, wired by the Cluster).
+  // Async transport mode (RpcConfig::async, wired by the Cluster).
   // Multi-RPC operations then thread accumulated latency into each
   // successive issue time, so a serial client never queues behind its own
   // requests at the server. Off (the default), issue times are untouched
@@ -191,7 +191,7 @@ class Client final : public CacheControl {
   // The cache's writeback for one kernel call at `now`: a plain value the
   // caller passes as a temporary, so the cache borrows it without any
   // allocation. Successive writebacks of one eviction/clean pass issue
-  // back-to-back in event-driven mode (IssueAt threads the accumulated
+  // back-to-back in async mode (IssueAt threads the accumulated
   // `offset` through); in sync mode IssueAt ignores it and every writeback
   // issues at `now`.
   struct Writeback {
@@ -212,7 +212,7 @@ class Client final : public CacheControl {
   SimDuration UncacheableWrite(OpenFile& of, int64_t bytes, SimTime now, HandleId handle);
 
   // Issue time for the next RPC of a multi-RPC operation: `now` plus the
-  // latency accumulated so far when the transport is event-driven, plain
+  // latency accumulated so far when the transport is async, plain
   // `now` otherwise (sync mode must not perturb span starts or
   // fault-window checks).
   SimTime IssueAt(SimTime now, SimDuration accumulated) const {

@@ -141,25 +141,21 @@ struct RpcConfig {
   // request issued exactly when the window ends is served normally.
   SimDuration recovery_grace = 2 * kSecond;
 
-  // --- Event-driven completion (server service queues) ---------------------
-  // When true, RPC completion is event-driven: each wire-occupying request
-  // is admitted into its server's FIFO service queue, the EventQueue fires
-  // arrival/completion events, and concurrent RPCs overlap — a loaded
-  // server accumulates measurable queueing delay, reported as
-  // "server.N.queue_us" / "server.N.queue_depth". The default (false) keeps
-  // the synchronous transport so every paper table stays byte-identical.
+  // --- Async transport (server service queues) -----------------------------
+  // When true, each wire-occupying request is admitted into its server's
+  // FIFO service queue: it arrives after its wire time, waits behind the
+  // requests ahead of it, and is serviced for a per-kind time, so concurrent
+  // RPCs overlap and a loaded server accumulates measurable queueing delay,
+  // reported as "server.N.queue_us" / "server.N.queue_depth". Latency is
+  // still fixed analytically at issue time; no event fires per request. The
+  // default (false) keeps the synchronous transport so every paper table
+  // stays byte-identical.
   bool async = false;
   // Server service (CPU + request handling) time per request, charged only
   // in async mode. Control RPCs are open/close/reopen; data RPCs are block
   // fetches, writebacks, pass-through I/O, paging, and directory reads.
   SimDuration control_service_time = 1 * kMillisecond;
   SimDuration data_service_time = 2 * kMillisecond;
-  // Bound on requests resident at one server (queued + in service). With a
-  // single FIFO service lane the end-to-end latency is unchanged by the
-  // bound — arrivals beyond it simply wait at the client for a slot, and
-  // that stall is charged as queue wait — but the server-resident queue
-  // (the "server.N.queue_depth" gauge) stays bounded.
-  int max_queue_depth = 64;
 
   // --- Honest wire: piggybacking and batching (default off) ----------------
   // When true, ledger-only control kinds (getattr, create/delete/truncate,

@@ -204,6 +204,18 @@ struct RpcStat {
   int64_t timeouts = 0;
   int64_t blocked_waits = 0;  // retries exhausted; waited for recovery
 
+  RpcStat& operator+=(const RpcStat& o) {
+    calls += o.calls;
+    payload_bytes += o.payload_bytes;
+    net_time += o.net_time;
+    wait_time += o.wait_time;
+    queue_time += o.queue_time;
+    service_time += o.service_time;
+    retries += o.retries;
+    timeouts += o.timeouts;
+    blocked_waits += o.blocked_waits;
+    return *this;
+  }
   bool operator==(const RpcStat&) const = default;
 };
 
@@ -297,7 +309,7 @@ class DenseIdStats {
 };
 
 struct RpcLedger {
-  // True when the owning transport ran in async (event-driven) mode; the
+  // True when the owning transport ran in async mode; the
   // ledger renderer adds queue/service columns only then, so sync-mode
   // output stays byte-identical.
   bool async = false;

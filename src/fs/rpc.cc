@@ -325,6 +325,169 @@ RpcTransport::PairWire& RpcTransport::PairState(ClientId client, ServerId server
   return row[server];
 }
 
+void RpcTransport::Phase(ClientId client, const char* name, SimTime start, SimDuration duration) {
+  if (obs_ == nullptr || !obs_->tracing_enabled()) {
+    return;
+  }
+  Span s;
+  s.name = name;
+  s.category = "rpc.phase";
+  s.track = ClientTrack(client);
+  s.start = start;
+  s.duration = duration;
+  span_scratch_.push_back(s);
+}
+
+RpcStat RpcTransport::Reach(RpcKind kind, ClientId client, ServerId server, SimTime now) {
+  RpcStat cost;
+  if (IsCallback(kind)) {
+    return cost;  // a server reaching its own client never waits on faults
+  }
+  SimTime t = now;
+  if (outage_count_ > 0 || partition_count_ > 0) {
+    SimTime recovery = 0;
+    int tries = 0;
+    while (Unreachable(server, client, t, &recovery)) {
+      Phase(client, "timeout", t, config_.timeout);
+      cost.wait_time += config_.timeout;
+      t += config_.timeout;
+      ++cost.timeouts;
+      if (tries < config_.max_retries) {
+        const SimDuration backoff = JitteredBackoffForAttempt(config_, client, tries);
+        Phase(client, "backoff", t, backoff);
+        cost.wait_time += backoff;
+        t += backoff;
+        ++cost.retries;
+        ++tries;
+      } else {
+        // Retry budget spent: wait out the outage, as Sprite clients do.
+        if (recovery > t) {
+          Phase(client, "blocked-wait", t, recovery - t);
+          cost.wait_time += recovery - t;
+          t = recovery;
+        }
+        ++cost.blocked_waits;
+        break;
+      }
+    }
+  }
+  // Crash-recovery handshake. The first response from a rebooted server
+  // carries its new epoch; a client that is behind replays its open handles
+  // (kReopen storm) before this request is served, and non-reopen traffic
+  // then waits out the remainder of the reopen-only grace window.
+  if (has_epochs_ && kind != RpcKind::kReopen) {
+    // The storm's own kReopen calls charge the ledger and emit spans
+    // themselves (Client::ReplayOpens); here it is simply time this request
+    // spent waiting.
+    const SimDuration storm = SyncEpoch(client, server, t);
+    cost.wait_time += storm;
+    t += storm;
+    const SimTime grace = GraceUntil(server, t);
+    if (grace > t) {
+      Phase(client, "grace-wait", t, grace - t);
+      cost.wait_time += grace - t;
+      t = grace;
+      ++cost.blocked_waits;
+    }
+  }
+  return cost;
+}
+
+RpcTransport::WirePlan RpcTransport::PlanWire(RpcKind kind, ClientId client, ServerId server,
+                                              int64_t payload_bytes, SimTime t) {
+  WirePlan plan;
+  plan.exchange = ChargesNetwork(kind);
+  plan.bytes = payload_bytes;
+  if (!config_.honest_wire && !config_.batching) {
+    return plan;
+  }
+  PairWire& pw = PairState(client, server);
+  plan.pair = &pw;
+  if (config_.batching && Batchable(kind)) {
+    if (pw.batch.ops > 0 && t - pw.batch.started >= config_.batch_window) {
+      // The pending batch aged out: this op pays its flush, then starts a
+      // fresh one (lazy age-out keeps the sync transport event-free).
+      plan.flush_wait += FlushBatch(client, server, t);
+    }
+    if (pw.batch.ops == 0) {
+      pw.batch.started = t + plan.flush_wait;
+    }
+    ++pw.batch.ops;
+    pw.batch.bytes += payload_bytes > 0 ? payload_bytes : kControlRpcBytes;
+    ++ledger_.batched_ops;
+    if (pw.batch.ops >= config_.batch_max_ops) {
+      plan.flush_wait += FlushBatch(client, server, t + plan.flush_wait);
+    }
+    plan.exchange = false;
+    plan.deferred = true;
+  } else if (!ChargesNetwork(kind)) {
+    // honest_wire: a control RPC inside the piggyback window rides the
+    // pair's last exchange for free; otherwise it pays a full exchange.
+    if (pw.has_exchange && t < pw.last_exchange_end + config_.piggyback_window) {
+      ++ledger_.piggybacked_ops;
+    } else {
+      plan.exchange = true;
+      plan.bytes = payload_bytes == 0 ? kControlRpcBytes : payload_bytes;
+      ++ledger_.charged_control_ops;
+    }
+  }
+  return plan;
+}
+
+SimDuration RpcTransport::Wire(RpcKind kind, ClientId client, ServerId server, int64_t bytes,
+                               SimTime start) {
+  const Network::WireOutcome outcome = network_->Transfer(client, server, bytes, start);
+  if (server < link_rec_.size() && link_rec_[server] != nullptr) {
+    link_rec_[server]->Record(outcome.queued);
+  }
+  if (obs_ != nullptr && obs_->tracing_enabled() && outcome.queued > 0) {
+    obs_->tracer().Emit("net.queued", "net", ServerTrack(server), start, outcome.queued,
+                        {{"client", client}, {"kind", static_cast<int64_t>(kind)}});
+  }
+  return outcome.latency;
+}
+
+void RpcTransport::Admit(RpcKind kind, ClientId client, ServerId server, SimTime arrival,
+                         RpcStat& cost) {
+  Server* srv = server < servers_.size() ? servers_[server] : nullptr;
+  if (!config_.async || srv == nullptr || !srv->service_queue_enabled()) {
+    return;
+  }
+  // Reopen traffic during the recovery grace window jumps the queue.
+  const bool priority = kind == RpcKind::kReopen && GraceUntil(server, arrival) > arrival;
+  const Server::Admission adm = srv->AdmitRequest(kind, arrival, priority);
+  cost.queue_time = adm.queue_wait();
+  cost.service_time = adm.service;
+  if (obs_ != nullptr && obs_->tracing_enabled() && cost.queue_time > 0) {
+    obs_->tracer().Emit("rpc.queued", "rpc.server", ServerTrack(server), adm.arrival,
+                        cost.queue_time,
+                        {{"client", client}, {"kind", static_cast<int64_t>(kind)}});
+  }
+}
+
+void RpcTransport::Account(RpcKind kind, ClientId client, ServerId server, const RpcStat& cost,
+                           SimDuration total) {
+  if (LatencyRecorder* rec = latency_rec_[static_cast<size_t>(kind)]; rec != nullptr) {
+    rec->Record(total);
+  }
+  if (critical_path_ != nullptr) {
+    // Exactly the values charged to the ledger below, so the collector's
+    // phase totals reconcile with the ledger columns to the microsecond.
+    critical_path_->AddRpc(cost.wait_time, cost.net_time, cost.queue_time, cost.service_time,
+                           IsCallback(kind));
+  }
+  ledger_.stat(kind) += cost;
+  ledger_.by_client[client] += cost;
+  ledger_.by_server[server] += cost;
+  if (has_epochs_) {
+    // Per-epoch breakdown, only once a crash exists (fault-free ledgers and
+    // their rendering stay bit-identical). Servers that never crashed are
+    // still in epoch 1.
+    const bool crashed = server < epoch_set_.size() && epoch_set_[server];
+    ledger_.by_epoch[crashed ? server_epochs_[server] : 1] += cost;
+  }
+}
+
 SimDuration RpcTransport::FlushBatch(ClientId client, ServerId server, SimTime now) {
   PairWire& pw = PairState(client, server);
   if (pw.batch.ops == 0) {
@@ -334,78 +497,25 @@ SimDuration RpcTransport::FlushBatch(ClientId client, ServerId server, SimTime n
   const int64_t bytes = pw.batch.bytes;
   pw.batch = WireBatch{};
 
-  // One wire exchange carrying the batch's summed bytes.
-  SimDuration net = 0;
-  if (network_ != nullptr) {
-    const Network::WireOutcome outcome = network_->Transfer(client, server, bytes, now);
-    net = outcome.latency;
-    if (server < link_rec_.size() && link_rec_[server] != nullptr) {
-      link_rec_[server]->Record(outcome.queued);
-    }
-    if (obs_ != nullptr && obs_->tracing_enabled() && outcome.queued > 0) {
-      obs_->tracer().Emit("net.queued", "net", ServerTrack(server), now, outcome.queued,
-                          {{"client", client},
-                           {"kind", static_cast<int64_t>(RpcKind::kBatch)}});
-    }
-  }
-
-  // In async mode the flush is one control-time admission through the
-  // server's service queue, exactly like any charged RPC.
-  SimDuration queue_wait = 0;
-  SimDuration service = 0;
-  if (config_.async) {
-    Server* srv = server < servers_.size() ? servers_[server] : nullptr;
-    if (srv != nullptr && srv->service_queue_enabled()) {
-      const Server::Admission adm =
-          srv->AdmitRequest(RpcKind::kBatch, now + net, /*priority=*/false);
-      queue_wait = adm.queue_wait();
-      service = adm.service;
-      if (queue_ != nullptr) {
-        const SimTime base = queue_->now();
-        queue_->Schedule(std::max(adm.arrival, base), [srv] { srv->RequestArrived(); });
-        queue_->Schedule(std::max(adm.completion(), base),
-                         [srv] { srv->RequestCompleted(); });
-      }
-      if (obs_ != nullptr && obs_->tracing_enabled() && queue_wait > 0) {
-        obs_->tracer().Emit("rpc.queued", "rpc.server", ServerTrack(server), adm.arrival,
-                            queue_wait,
-                            {{"client", client},
-                             {"kind", static_cast<int64_t>(RpcKind::kBatch)}});
-      }
-    }
-  }
-  const SimDuration total = net + queue_wait + service;
+  // One wire exchange carrying the batch's summed bytes (batching implies
+  // the cluster transport, so the Network exists), then, in async mode, one
+  // control-time admission like any charged RPC. The members already
+  // charged their calls and payload; the kBatch row carries only the
+  // exchange itself, so TotalPayloadBytes is not double-counted.
+  RpcStat cost;
+  cost.calls = 1;
+  cost.net_time = Wire(RpcKind::kBatch, client, server, bytes, now);
+  Admit(RpcKind::kBatch, client, server, now + cost.net_time, cost);
+  const SimDuration total = cost.net_time + cost.queue_time + cost.service_time;
 
   if (obs_ != nullptr && obs_->tracing_enabled()) {
     obs_->tracer().Emit(RpcKindName(RpcKind::kBatch), "rpc", ClientTrack(client), now, total,
-                        {{"server", server}, {"ops", ops}, {"bytes", bytes}, {"net_us", net}});
+                        {{"server", server}, {"ops", ops}, {"bytes", bytes},
+                         {"net_us", cost.net_time}});
   }
-  if (LatencyRecorder* rec = latency_rec_[static_cast<size_t>(RpcKind::kBatch)];
-      rec != nullptr) {
-    rec->Record(total);
-  }
-  if (critical_path_ != nullptr) {
-    // Charged here — not on the member rows — so the collector's phase
-    // totals still reconcile with the ledger to the microsecond.
-    critical_path_->AddRpc(/*wait=*/0, net, queue_wait, service, /*callback=*/false);
-  }
-
-  // The members already charged their calls/payload; the kBatch row carries
-  // only the wire exchange itself, so TotalPayloadBytes is not
-  // double-counted.
-  const auto charge = [&](RpcStat& s) {
-    ++s.calls;
-    s.net_time += net;
-    s.queue_time += queue_wait;
-    s.service_time += service;
-  };
-  charge(ledger_.stat(RpcKind::kBatch));
-  charge(ledger_.by_client[client]);
-  charge(ledger_.by_server[server]);
-  if (has_epochs_) {
-    const bool crashed = server < epoch_set_.size() && epoch_set_[server];
-    charge(ledger_.by_epoch[crashed ? server_epochs_[server] : 1]);
-  }
+  // Charged here — not on the member rows — so the collector's phase totals
+  // still reconcile with the ledger to the microsecond.
+  Account(RpcKind::kBatch, client, server, cost, total);
   ++ledger_.batches;
 
   pw.has_exchange = true;
@@ -425,241 +535,53 @@ void RpcTransport::FlushAllWire(SimTime now) {
 
 SimDuration RpcTransport::Call(RpcKind kind, ClientId client, ServerId server,
                                int64_t payload_bytes, SimTime now) {
-  SimDuration wait = 0;
-  int64_t retries = 0;
-  int64_t timeouts = 0;
-  int64_t blocked_waits = 0;
-
   // Sub-phase spans of this call (timeouts, backoffs, recovery waits, wire
   // time), gathered only when tracing so the parent span can be emitted
   // first and Perfetto nests the children under it. The spans accumulate in
   // the pooled scratch vector from `phase_base` on; nested Calls (reopen
   // storms) stack their own suffixes on top and truncate them before this
   // frame emits.
-  const bool tracing = obs_ != nullptr && obs_->tracing_enabled();
   const size_t phase_base = span_scratch_.size();
-  const auto phase = [&](const char* name, SimTime start, SimDuration dur) {
-    if (!tracing) {
-      return;
-    }
-    Span s;
-    s.name = name;
-    s.category = "rpc.phase";
-    s.track = ClientTrack(client);
-    s.start = start;
-    s.duration = dur;
-    span_scratch_.push_back(s);
-  };
 
-  if (!IsCallback(kind)) {
-    SimTime t = now;
-    if (outage_count_ > 0 || partition_count_ > 0) {
-      SimTime recovery = 0;
-      int tries = 0;
-      while (Unreachable(server, client, t, &recovery)) {
-        phase("timeout", t, config_.timeout);
-        wait += config_.timeout;
-        t += config_.timeout;
-        ++timeouts;
-        if (tries < config_.max_retries) {
-          const SimDuration backoff = JitteredBackoffForAttempt(config_, client, tries);
-          phase("backoff", t, backoff);
-          wait += backoff;
-          t += backoff;
-          ++retries;
-          ++tries;
-        } else {
-          // Retry budget spent: wait out the outage, as Sprite clients do.
-          if (recovery > t) {
-            phase("blocked-wait", t, recovery - t);
-            wait += recovery - t;
-            t = recovery;
-          }
-          ++blocked_waits;
-          break;
-        }
-      }
-    }
-    // Crash-recovery handshake. The first response from a rebooted server
-    // carries its new epoch; a client that is behind replays its open
-    // handles (kReopen storm) before this request is served, and non-reopen
-    // traffic then waits out the remainder of the reopen-only grace window.
-    if (has_epochs_ && kind != RpcKind::kReopen) {
-      const SimDuration storm = SyncEpoch(client, server, t);
-      if (storm > 0) {
-        // The storm's own kReopen calls charge the ledger and emit spans
-        // themselves (Client::ReplayOpens); here it is simply time this
-        // request spent waiting.
-        wait += storm;
-        t += storm;
-      }
-      const SimTime grace = GraceUntil(server, t);
-      if (grace > t) {
-        phase("grace-wait", t, grace - t);
-        wait += grace - t;
-        t = grace;
-        ++blocked_waits;
-      }
+  RpcStat cost = Reach(kind, client, server, now);
+  cost.calls = 1;
+  cost.payload_bytes = payload_bytes;
+  const WirePlan plan = PlanWire(kind, client, server, payload_bytes, now + cost.wait_time);
+  const SimTime wire_start = now + cost.wait_time + plan.flush_wait;
+  if (plan.exchange && network_ != nullptr) {
+    cost.net_time = Wire(kind, client, server, plan.bytes, wire_start);
+    Phase(client, "wire", wire_start, cost.net_time);
+    if (plan.pair != nullptr) {
+      plan.pair->has_exchange = true;
+      plan.pair->last_exchange_end = wire_start + cost.net_time;
     }
   }
-
-  // Honest-wire layer (defaults off; see the class comment). Decides whether
-  // this call piggybacks, pays its own control exchange, or defers into the
-  // pair's wire batch — and absorbs any batch flush it triggers.
-  SimDuration flush_wait = 0;
-  bool defer_wire = false;
-  bool pays_control_exchange = false;
-  PairWire* pw = nullptr;
-  if (config_.honest_wire || config_.batching) {
-    pw = &PairState(client, server);
-    const SimTime t = now + wait;
-    if (config_.batching && Batchable(kind)) {
-      if (pw->batch.ops > 0 && t - pw->batch.started >= config_.batch_window) {
-        // The pending batch aged out: this op pays its flush, then starts a
-        // fresh one (lazy age-out keeps the sync transport event-free).
-        flush_wait += FlushBatch(client, server, t);
-      }
-      if (pw->batch.ops == 0) {
-        pw->batch.started = t + flush_wait;
-      }
-      ++pw->batch.ops;
-      pw->batch.bytes += payload_bytes > 0 ? payload_bytes : kControlRpcBytes;
-      ++ledger_.batched_ops;
-      defer_wire = true;
-      if (pw->batch.ops >= config_.batch_max_ops) {
-        flush_wait += FlushBatch(client, server, t + flush_wait);
-      }
-    } else if (!ChargesNetwork(kind)) {
-      // honest_wire: a control RPC inside the piggyback window rides the
-      // pair's last exchange for free; otherwise it pays a full exchange.
-      if (pw->has_exchange && t < pw->last_exchange_end + config_.piggyback_window) {
-        ++ledger_.piggybacked_ops;
-      } else {
-        pays_control_exchange = true;
-        ++ledger_.charged_control_ops;
-      }
-    }
-  }
-
-  SimDuration net = 0;
-  if (network_ != nullptr && !defer_wire &&
-      (ChargesNetwork(kind) || pays_control_exchange)) {
-    const int64_t wire_bytes =
-        pays_control_exchange && payload_bytes == 0 ? kControlRpcBytes : payload_bytes;
-    const SimTime wire_start = now + wait + flush_wait;
-    const Network::WireOutcome outcome =
-        network_->Transfer(client, server, wire_bytes, wire_start);
-    net = outcome.latency;
-    phase("wire", wire_start, net);
-    if (server < link_rec_.size() && link_rec_[server] != nullptr) {
-      link_rec_[server]->Record(outcome.queued);
-    }
-    if (tracing && outcome.queued > 0) {
-      obs_->tracer().Emit("net.queued", "net", ServerTrack(server), wire_start,
-                          outcome.queued,
-                          {{"client", client}, {"kind", static_cast<int64_t>(kind)}});
-    }
-    if (pw != nullptr) {
-      pw->has_exchange = true;
-      pw->last_exchange_end = wire_start + net;
-    }
-  }
-
-  // Event-driven completion: the request reaches the server after its wire
-  // time and enters the FIFO service queue; the events below keep the live
-  // queue-depth gauge honest. Everything here is gated on config_.async, so
-  // the default synchronous transport is untouched byte-for-byte.
-  SimDuration queue_wait = 0;
-  SimDuration service = 0;
-  if (config_.async && ChargesNetwork(kind) && !defer_wire) {
-    Server* srv = server < servers_.size() ? servers_[server] : nullptr;
-    if (srv != nullptr && srv->service_queue_enabled()) {
-      const SimTime arrival = now + wait + flush_wait + net;
-      // Reopen traffic during the recovery grace window jumps the queue.
-      const bool priority =
-          kind == RpcKind::kReopen && GraceUntil(server, arrival) > arrival;
-      const Server::Admission adm = srv->AdmitRequest(kind, arrival, priority);
-      queue_wait = adm.queue_wait();
-      service = adm.service;
-      if (queue_ != nullptr) {
-        // The arrival/completion events are scheduled whether or not
-        // observability is attached — identical event streams keep obs-on
-        // and obs-off runs bit-identical. The max() guards bare transports
-        // whose callers pass issue times behind the queue's clock.
-        const SimTime base = queue_->now();
-        queue_->Schedule(std::max(adm.arrival, base), [srv] { srv->RequestArrived(); });
-        queue_->Schedule(std::max(adm.completion(), base),
-                         [srv] { srv->RequestCompleted(); });
-      }
-      if (tracing && queue_wait > 0) {
-        obs_->tracer().Emit("rpc.queued", "rpc.server", ServerTrack(server), adm.arrival,
-                            queue_wait, {{"client", client}, {"kind", static_cast<int64_t>(kind)}});
-      }
-    }
+  if (ChargesNetwork(kind) && !plan.deferred) {
+    Admit(kind, client, server, wire_start + cost.net_time, cost);
   }
   // flush_wait is time this caller absorbed flushing a batch; the flush
   // charged its own ledger/critical-path rows, so it rides only in the
   // returned total (and this kind's latency recorder), never in this row.
-  const SimDuration total = wait + flush_wait + net + queue_wait + service;
+  const SimDuration total = cost.wait_time + plan.flush_wait + cost.net_time + cost.queue_time +
+                            cost.service_time;
 
-  if (tracing) {
+  if (obs_ != nullptr && obs_->tracing_enabled()) {
     obs_->tracer().Emit(RpcKindName(kind), IsCallback(kind) ? "rpc.callback" : "rpc",
                         ClientTrack(client), now, total,
                         {{"server", server},
                          {"bytes", payload_bytes},
-                         {"retries", retries},
-                         {"timeouts", timeouts},
-                         {"net_us", net},
-                         {"wait_us", wait}});
+                         {"retries", cost.retries},
+                         {"timeouts", cost.timeouts},
+                         {"net_us", cost.net_time},
+                         {"wait_us", cost.wait_time}});
     for (size_t i = phase_base; i < span_scratch_.size(); ++i) {
       const Span& s = span_scratch_[i];
       obs_->tracer().Emit(s.name, s.category, s.track, s.start, s.duration);
     }
     span_scratch_.resize(phase_base);
   }
-  if (LatencyRecorder* rec = latency_rec_[static_cast<size_t>(kind)]; rec != nullptr) {
-    rec->Record(total);
-  }
-  if (critical_path_ != nullptr) {
-    // Exactly the values charged to the ledger below, so the collector's
-    // phase totals reconcile with the ledger columns to the microsecond.
-    critical_path_->AddRpc(wait, net, queue_wait, service, IsCallback(kind));
-  }
-
-  const auto charge = [&](RpcStat& s) {
-    ++s.calls;
-    s.payload_bytes += payload_bytes;
-    s.net_time += net;
-    s.wait_time += wait;
-    s.queue_time += queue_wait;
-    s.service_time += service;
-    s.retries += retries;
-    s.timeouts += timeouts;
-    s.blocked_waits += blocked_waits;
-  };
-  charge(ledger_.stat(kind));
-  charge(ledger_.by_client[client]);
-  charge(ledger_.by_server[server]);
-  if (has_epochs_) {
-    // Per-epoch breakdown, only once a crash exists (fault-free ledgers and
-    // their rendering stay bit-identical). Servers that never crashed are
-    // still in epoch 1.
-    const bool crashed = server < epoch_set_.size() && epoch_set_[server];
-    charge(ledger_.by_epoch[crashed ? server_epochs_[server] : 1]);
-  }
+  Account(kind, client, server, cost, total);
   return total;
-}
-
-void RpcTransport::CallAsync(RpcKind kind, ClientId client, ServerId server,
-                             int64_t payload_bytes, SimTime now, CompletionFn on_complete) {
-  if (queue_ == nullptr) {
-    throw std::logic_error("RpcTransport::CallAsync: no EventQueue bound");
-  }
-  // Issue path: all accounting (queue admission, ledger, metrics, spans)
-  // happens now; the reply is delivered by a completion event.
-  const SimDuration latency = Call(kind, client, server, payload_bytes, now);
-  queue_->Schedule(std::max(now + latency, queue_->now()),
-                   [cb = std::move(on_complete), latency] { cb(latency); });
 }
 
 bool RpcTransport::CallbackDropped(ServerId server, ClientId client, FileId file,
@@ -926,14 +848,10 @@ RpcLedger ReplayTraceLedger(const TraceLog& trace, const NetworkConfig& net_conf
   const auto add = [&](RpcKind kind, const Record& r, int64_t calls, int64_t payload,
                        SimDuration per_call_net) {
     const SimDuration net_time = calls * per_call_net;
-    const auto charge = [&](RpcStat& s) {
-      s.calls += calls;
-      s.payload_bytes += payload;
-      s.net_time += net_time;
-    };
-    charge(ledger.stat(kind));
-    charge(ledger.by_client[r.client]);
-    charge(ledger.by_server[r.server]);
+    const RpcStat cost{.calls = calls, .payload_bytes = payload, .net_time = net_time};
+    ledger.stat(kind) += cost;
+    ledger.by_client[r.client] += cost;
+    ledger.by_server[r.server] += cost;
     if (metrics) {
       for (int64_t i = 0; i < calls; ++i) {
         recorders[static_cast<size_t>(kind)]->Record(per_call_net);

@@ -50,14 +50,14 @@
 // With RpcConfig::async, each wire-occupying request is admitted into its
 // server's FIFO service queue (Server::AdmitRequest): it arrives after its
 // wire time, waits behind the requests ahead of it, and holds the service
-// lane for a per-kind service time. The transport schedules the arrival and
-// completion events on the bound EventQueue (BindEventQueue), so concurrent
-// RPCs genuinely overlap and a loaded server accumulates measurable
-// queueing delay — reported as "server.N.queue_us" latency recorders, a
-// "server.N.queue_depth" gauge, and "rpc.queued" spans in the trace export.
-// Reopen traffic during a crashed server's grace window jumps the queue
-// (recovery preempts normal service) but still occupies the lane, so
-// post-grace traffic backs up behind the storm.
+// lane for a per-kind service time. Admission is analytic — the latency is
+// fixed at issue time and no event is scheduled — yet concurrent RPCs
+// overlap and a loaded server accumulates measurable queueing delay,
+// reported as "server.N.queue_us" latency recorders, a "server.N.queue_depth"
+// gauge (computed from the admitted intervals when read), and "rpc.queued"
+// spans in the trace export. Reopen traffic during a crashed server's grace
+// window jumps the queue (recovery preempts normal service) but still
+// occupies the lane, so post-grace traffic backs up behind the storm.
 
 #ifndef SPRITE_DFS_SRC_FS_RPC_H_
 #define SPRITE_DFS_SRC_FS_RPC_H_
@@ -77,7 +77,6 @@
 #include "src/fs/server.h"
 #include "src/fs/types.h"
 #include "src/obs/observability.h"
-#include "src/sim/event_queue.h"
 #include "src/trace/record.h"
 
 namespace sprite {
@@ -101,17 +100,6 @@ class RpcTransport {
   SimDuration Call(RpcKind kind, ClientId client, ServerId server, int64_t payload_bytes,
                    SimTime now);
 
-  // Event-driven issue/completion split (async mode): issues the request at
-  // `now` and delivers the total latency to `on_complete` via an event at
-  // the completion time (now + latency) on the bound EventQueue. Requires
-  // BindEventQueue; the ledger/metrics accounting is identical to Call.
-  using CompletionFn = std::function<void(SimDuration latency)>;
-  void CallAsync(RpcKind kind, ClientId client, ServerId server, int64_t payload_bytes,
-                 SimTime now, CompletionFn on_complete);
-
-  // Binds the cluster's event queue; async mode schedules request-arrival
-  // and completion events on it (sync mode never touches it).
-  void BindEventQueue(EventQueue* queue) { queue_ = queue; }
   // Declares how many servers the owning cluster has. Once set,
   // RegisterServer validates ids against it (and the per-link contention
   // recorders know how many links to register). Bare test harnesses that
@@ -274,9 +262,44 @@ class RpcTransport {
   // True for kinds that defer into a wire batch when batching is on:
   // ledger-only control kinds plus the replication shadow stream.
   static bool Batchable(RpcKind kind);
+
+  // --- Call stages ------------------------------------------------------------
+  // Call runs reach -> wire policy -> wire -> admission -> accounting;
+  // FlushBatch reuses the last three for its kBatch exchange.
+  //
+  // Reach: what a client request waits before the server can take it —
+  // fault timeouts and backoff, a blocked wait, the epoch handshake's reopen
+  // storm and the grace window. Returns the wait/retry columns of the call's
+  // ledger row (all zero for callbacks).
+  RpcStat Reach(RpcKind kind, ClientId client, ServerId server, SimTime now);
+  // Wire policy: whether a call pays a wire exchange of its own, rides the
+  // pair's last exchange for free (honest wire), or defers into the pair's
+  // batch — absorbing any batch flush it triggers.
+  struct WirePlan {
+    bool exchange = false;  // pays its own wire exchange...
+    int64_t bytes = 0;      // ...carrying this many bytes
+    bool deferred = false;  // rides the pair's batch instead
+    SimDuration flush_wait = 0;  // batch flush the caller absorbed
+    PairWire* pair = nullptr;    // honest-wire pair state, or null
+  };
+  WirePlan PlanWire(RpcKind kind, ClientId client, ServerId server, int64_t payload_bytes,
+                    SimTime t);
+  // Wire: one exchange of `bytes` on the (client, server) link starting at
+  // `start`, with its link-queueing record and span. Returns its latency.
+  // Requires the Network (the cluster transport).
+  SimDuration Wire(RpcKind kind, ClientId client, ServerId server, int64_t bytes, SimTime start);
+  // Admission: async mode's FIFO service queue at the server. Fills the
+  // queue/service columns of `cost`; a no-op in sync mode.
+  void Admit(RpcKind kind, ClientId client, ServerId server, SimTime arrival, RpcStat& cost);
+  // Accounting: charges one finished RPC to its latency recorder, the
+  // critical path, and every ledger breakdown.
+  void Account(RpcKind kind, ClientId client, ServerId server, const RpcStat& cost,
+               SimDuration total);
   // Flushes the pair's pending batch as one kBatch wire exchange at `now`
   // and returns the latency the triggering caller absorbs (0 if empty).
   SimDuration FlushBatch(ClientId client, ServerId server, SimTime now);
+  // Queues a sub-phase span of the current Call (tracing only).
+  void Phase(ClientId client, const char* name, SimTime start, SimDuration duration);
 
   std::unique_ptr<Network> network_;
   RpcConfig config_;
@@ -297,9 +320,8 @@ class RpcTransport {
   // Last epoch each client observed from each crashed server.
   std::vector<std::vector<uint64_t>> seen_epochs_;  // [client][server]
   std::vector<ReopenHandler> reopen_handlers_;      // [client]
-  // Async mode: the event queue completions fire on, and the server objects
-  // whose service queues admit requests (both wired by the Cluster).
-  EventQueue* queue_ = nullptr;
+  // Async mode: the server objects whose service queues admit requests
+  // (wired by the Cluster).
   std::vector<Server*> servers_;  // [server]
   // Cluster server count (0 = unset: bare harness, no validation).
   int expected_servers_ = 0;
@@ -342,7 +364,7 @@ class ServerStub {
       : client_(client), server_(&server), transport_(&transport), standby_(standby) {}
 
   ServerId id() const { return server_->id(); }
-  // True when the transport runs event-driven completion; callers use this
+  // True when the transport runs async admission; callers use this
   // to thread issue times through multi-RPC operations (a serial client
   // must not queue behind itself).
   bool async() const { return transport_->config().async; }

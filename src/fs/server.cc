@@ -31,6 +31,7 @@ void Server::AttachObservability(Observability* obs) {
   obs_ = obs;
   disk_latency_rec_ = nullptr;
   queue_wait_rec_ = nullptr;
+  track_residency_ = false;
   if (obs_ == nullptr) {
     return;
   }
@@ -48,7 +49,8 @@ void Server::AttachObservability(Observability* obs) {
     // sync-mode metrics snapshots are byte-identical to pre-queue output.
     if (service_queue_enabled_) {
       queue_wait_rec_ = m.AddLatency(prefix + "queue_us");
-      m.AddGauge(prefix + "queue_depth", [this] { return service_queue_depth_; });
+      track_residency_ = true;
+      m.AddGauge(prefix + "queue_depth", [this](SimTime now) { return QueueDepthAt(now); });
     }
   }
   if (obs_->tracing_enabled()) {
@@ -60,7 +62,6 @@ void Server::EnableServiceQueue(const RpcConfig& rpc) {
   service_queue_enabled_ = true;
   control_service_time_ = rpc.control_service_time;
   data_service_time_ = rpc.data_service_time;
-  max_queue_depth_ = rpc.max_queue_depth > 0 ? static_cast<size_t>(rpc.max_queue_depth) : 1;
 }
 
 SimDuration Server::ServiceTimeFor(RpcKind kind) const {
@@ -105,37 +106,33 @@ Server::Admission Server::AdmitRequest(RpcKind kind, SimTime arrival, bool prior
   Admission adm;
   adm.arrival = arrival;
   adm.service = ServiceTimeFor(kind);
-  if (priority) {
-    // Grace-window reopen: served immediately (recovery traffic preempts
-    // the normal queue) but the lane stays occupied afterwards, so normal
-    // traffic resumes behind the storm.
-    adm.start = arrival;
-    busy_until_ = std::max(busy_until_, adm.completion());
-    return adm;
+  // Grace-window reopens are served on arrival (recovery traffic preempts
+  // the normal queue), but the lane stays occupied afterwards, so normal
+  // traffic resumes behind the storm.
+  adm.start = priority ? arrival : std::max(arrival, busy_until_);
+  busy_until_ = std::max(busy_until_, adm.completion());
+  if (track_residency_) {
+    resident_.push_back(Residency{adm.arrival, adm.completion()});
   }
-  // Slots freed by completions up to the arrival instant.
-  SimTime admitted_at = arrival;
-  while (!inflight_.empty() && inflight_.front() <= admitted_at) {
-    inflight_.pop_front();
-  }
-  if (inflight_.size() >= max_queue_depth_) {
-    // Queue full: the request waits at the client until the completion that
-    // frees its slot. FIFO service means this never delays the start time
-    // (that completion precedes busy_until_); it only bounds residency.
-    admitted_at = inflight_[inflight_.size() - max_queue_depth_];
-    while (!inflight_.empty() && inflight_.front() <= admitted_at) {
-      inflight_.pop_front();
-    }
-  }
-  adm.start = std::max(admitted_at, busy_until_);
-  busy_until_ = adm.completion();
-  inflight_.push_back(busy_until_);
-  if (queue_wait_rec_ != nullptr) {
+  if (!priority && queue_wait_rec_ != nullptr) {
     // Zeros included: an idle server records 0 so a single serial client's
     // p50/p99 are exactly zero rather than merely unsampled.
     queue_wait_rec_->Record(adm.queue_wait());
   }
   return adm;
+}
+
+int64_t Server::QueueDepthAt(SimTime t) {
+  int64_t depth = 0;
+  size_t kept = 0;
+  for (const Residency& r : resident_) {
+    if (r.completion > t) {
+      depth += r.arrival <= t ? 1 : 0;
+      resident_[kept++] = r;
+    }
+  }
+  resident_.resize(kept);
+  return depth;
 }
 
 SimDuration Server::DiskWrite(BlockKey key, int64_t bytes) {
@@ -596,10 +593,8 @@ int64_t Server::Crash(SimTime now) {
   cache_.set_limit_blocks(cache_.config().max_blocks);
   // The service queue is volatile too: queued requests died with the
   // machine (their clients are retrying through the transport's outage
-  // machinery). The depth counter is left to the already-scheduled
-  // completion events, which keep it balanced.
+  // machinery). Their residency intervals stay, as the lane they held.
   busy_until_ = 0;
-  inflight_.clear();
   // Migration freeze windows are volatile coordinator state too.
   frozen_.clear();
   ++epoch_;

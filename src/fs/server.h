@@ -279,13 +279,13 @@ class Server {
   // history never strands on a server nothing routes to any more.
   std::vector<FileId> AllFileIds() const;
 
-  // --- Service queue (event-driven transport) --------------------------------
+  // --- Service queue (async transport) ---------------------------------------
   // In async transport mode (RpcConfig::async) every wire-occupying request
   // passes through a per-server FIFO service queue: it arrives after its
   // wire time, waits for the requests ahead of it, then holds the service
-  // lane for a per-kind service time. The transport computes arrival times,
-  // asks the server to admit each request, and schedules the arrival /
-  // completion events that keep the live queue-depth gauge honest.
+  // lane for a per-kind service time. The transport computes arrival times
+  // and asks the server to admit each request; the admission math is
+  // analytic, so no event ever fires for it.
 
   // The admission verdict for one request.
   struct Admission {
@@ -310,12 +310,6 @@ class Server {
   // post-grace traffic queues behind the storm. Records the queue wait
   // (zeros included) in the "server.N.queue_us" recorder.
   Admission AdmitRequest(RpcKind kind, SimTime arrival, bool priority);
-
-  // Event hooks fired by the transport's EventQueue events; they maintain
-  // the live resident count behind the "server.N.queue_depth" gauge.
-  void RequestArrived() { ++service_queue_depth_; }
-  void RequestCompleted() { --service_queue_depth_; }
-  int64_t service_queue_depth() const { return service_queue_depth_; }
 
   // Per-kind service time under the configured service model (0 for kinds
   // that never occupy the service lane, e.g. callbacks).
@@ -431,18 +425,24 @@ class Server {
   bool service_queue_enabled_ = false;
   SimDuration control_service_time_ = 0;
   SimDuration data_service_time_ = 0;
-  size_t max_queue_depth_ = 0;
   // When the FIFO service lane frees up (the last admitted request's
   // completion time).
   SimTime busy_until_ = 0;
-  // Completion times of admitted-but-unfinished requests, nondecreasing
-  // because FIFO service serializes them; drained as arrivals pass them.
-  // Priority (grace-window reopen) requests bypass this deque — their
-  // completions can precede queued ones — but still push busy_until_.
-  std::deque<SimTime> inflight_;
-  // Live resident count (arrival event fired, completion event not yet);
-  // maintained by the transport's events, read by the depth gauge.
-  int64_t service_queue_depth_ = 0;
+  // [arrival, completion) of admitted requests not yet seen complete by a
+  // depth read; kept only while the queue-depth gauge is registered.
+  struct Residency {
+    SimTime arrival = 0;
+    SimTime completion = 0;
+  };
+  bool track_residency_ = false;
+  std::vector<Residency> resident_;
+  // The "server.N.queue_depth" gauge: how many admitted requests are
+  // resident at `t`, i.e. whose [arrival, completion) interval contains it.
+  // Intervals are recorded only while that gauge is registered, and the
+  // ones that completed by `t` are dropped, so reads must not go back in
+  // time. A crash keeps them: the requests it killed still held the lane.
+  int64_t QueueDepthAt(SimTime t);
+
   Disk disk_;
   std::unique_ptr<SegmentLog> segment_log_;
   CacheCounters cache_counters_;

@@ -38,6 +38,10 @@ Counter* MetricsRegistry::AddCounter(const std::string& name) {
 }
 
 void MetricsRegistry::AddGauge(const std::string& name, std::function<int64_t()> read) {
+  AddGauge(name, [read = std::move(read)](SimTime) { return read ? read() : 0; });
+}
+
+void MetricsRegistry::AddGauge(const std::string& name, std::function<int64_t(SimTime)> read) {
   for (auto& entry : gauges_) {
     if (entry.name == name) {
       entry.instrument = std::move(read);
@@ -106,7 +110,7 @@ MetricsSnapshot MetricsRegistry::Snapshot(SimTime now) const {
     MetricSample s;
     s.name = entry.name;
     s.kind = MetricSample::Kind::kGauge;
-    s.value = entry.instrument ? entry.instrument() : 0;
+    s.value = entry.instrument ? entry.instrument(now) : 0;
     snapshot.samples.push_back(std::move(s));
   }
   for (const auto& entry : latencies_) {

@@ -105,8 +105,11 @@ class MetricsRegistry {
   // Registers (or returns the existing) counter named `name`. The returned
   // pointer stays valid for the registry's lifetime.
   Counter* AddCounter(const std::string& name);
-  // Registers a gauge: `read` is invoked at snapshot time. Re-registering a
-  // name replaces the reader (the previous component was rewired).
+  // Registers a gauge: `read` is invoked at snapshot time, with the
+  // snapshot's sim time for gauges that compute their value from it.
+  // Re-registering a name replaces the reader (the previous component was
+  // rewired).
+  void AddGauge(const std::string& name, std::function<int64_t(SimTime now)> read);
   void AddGauge(const std::string& name, std::function<int64_t()> read);
   // Registers (or returns the existing) latency recorder named `name`.
   LatencyRecorder* AddLatency(const std::string& name, double min_us = 10.0,
@@ -152,7 +155,7 @@ class MetricsRegistry {
 
   // unique_ptr entries keep instrument addresses stable across registration.
   std::vector<std::unique_ptr<Named<Counter>>> counters_;
-  std::vector<Named<std::function<int64_t()>>> gauges_;
+  std::vector<Named<std::function<int64_t(SimTime)>>> gauges_;
   std::vector<std::unique_ptr<Named<LatencyRecorder>>> latencies_;
   std::vector<MetricsSnapshot> history_;
   size_t history_limit_ = 0;

@@ -259,7 +259,7 @@ TEST(ObservabilityTest, CriticalPathAndHotspotDoNotPerturbTheSimulation) {
 }
 
 // The sharding hot-spot scenario from bench/ablation_sharding and check.sh:
-// heavy workload (simulation tasks dominate) on the event-driven transport
+// heavy workload (simulation tasks dominate) on the async transport
 // with 2 servers. Modulo placement aims every user's simulation input at one
 // server; hash placement spreads them on the same seed.
 WorkloadParams HeavyParams() {
@@ -383,7 +383,7 @@ TEST(ObservabilityTest, ChromeTraceExportMatchesGolden) {
   std::ostringstream out;
   obs->tracer().WriteChromeTrace(out, &obs->metrics());
   const std::string json = out.str();
-  EXPECT_EQ(Fnv1a64(json), 0xae7df3d8cff7f9f5ull)
+  EXPECT_EQ(Fnv1a64(json), 0xa8d83ebc0152688aull)
       << std::hex << Fnv1a64(json) << std::dec << " over " << json.size() << " bytes";
 }
 

@@ -1,8 +1,9 @@
-// Tests for the event-driven RPC completion mode (RpcConfig::async): the
-// per-server FIFO service queue, queue-wait accounting through the ledger
-// and the server.N.queue_us recorder, reply delivery via CallAsync
-// completion events, reopen-priority admission during the recovery grace
-// window, and determinism / non-perturbation with observability attached.
+// Tests for the async RPC transport (RpcConfig::async): the per-server FIFO
+// service queue, queue-wait accounting through the ledger and the
+// server.N.queue_us recorder, the analytic server.N.queue_depth gauge
+// (checked against the event-driven counter it replaced), reopen-priority
+// admission during the recovery grace window, and determinism /
+// non-perturbation with observability attached.
 
 #include "src/fs/rpc.h"
 
@@ -10,11 +11,13 @@
 
 #include <algorithm>
 #include <string_view>
+#include <vector>
 
 #include "src/fs/cluster.h"
 #include "src/fs/server.h"
 #include "src/obs/observability.h"
 #include "src/sim/event_queue.h"
+#include "src/util/rng.h"
 #include "src/workload/generator.h"
 
 namespace sprite {
@@ -26,19 +29,35 @@ RpcConfig AsyncRpcConfig() {
   return config;
 }
 
+ObservabilityConfig MetricsOnly() {
+  ObservabilityConfig config;
+  config.metrics = true;
+  config.snapshot_interval = kMinute;
+  return config;
+}
+
 // A bare server + transport pair wired the way the Cluster wires them.
 struct AsyncRig {
   explicit AsyncRig(const RpcConfig& rpc)
       : transport(NetworkConfig{}, rpc), server(0, ServerConfig{}, DiskConfig{}, ConsistencyPolicy::kSprite) {
     server.EnableServiceQueue(rpc);
-    transport.BindEventQueue(&queue);
     transport.RegisterServer(0, &server);
   }
 
-  EventQueue queue;
   RpcTransport transport;
   Server server;
 };
+
+// Reads server 0's queue-depth gauge the way the metrics collector does.
+int64_t DepthGaugeAt(const Observability& obs, SimTime t) {
+  for (const MetricSample& s : obs.metrics().Snapshot(t).samples) {
+    if (s.name == "server.0.queue_depth") {
+      return s.value;
+    }
+  }
+  ADD_FAILURE() << "server.0.queue_depth is not registered";
+  return -1;
+}
 
 TEST(RpcAsyncTest, ConcurrentCallsOverlapAndTheSecondQueues) {
   AsyncRig rig(AsyncRpcConfig());
@@ -63,7 +82,7 @@ TEST(RpcAsyncTest, ConcurrentCallsOverlapAndTheSecondQueues) {
 }
 
 TEST(RpcAsyncTest, QueueWaitIsRecordedForTheSecondArrivalOnly) {
-  Observability obs(ObservabilityConfig{/*metrics=*/true, /*tracing=*/false, kMinute});
+  Observability obs(MetricsOnly());
   AsyncRig rig(AsyncRpcConfig());
   rig.server.AttachObservability(&obs);
   rig.transport.Call(RpcKind::kReadBlock, 0, 0, kBlockSize, 0);
@@ -78,7 +97,7 @@ TEST(RpcAsyncTest, QueueWaitIsRecordedForTheSecondArrivalOnly) {
 }
 
 TEST(RpcAsyncTest, SerialClientNeverQueuesBehindItself) {
-  Observability obs(ObservabilityConfig{/*metrics=*/true, /*tracing=*/false, kMinute});
+  Observability obs(MetricsOnly());
   AsyncRig rig(AsyncRpcConfig());
   rig.server.AttachObservability(&obs);
 
@@ -98,63 +117,81 @@ TEST(RpcAsyncTest, SerialClientNeverQueuesBehindItself) {
 }
 
 TEST(RpcAsyncTest, DepthGaugeFollowsArrivalAndCompletionEvents) {
+  Observability obs(MetricsOnly());
   AsyncRig rig(AsyncRpcConfig());
+  rig.server.AttachObservability(&obs);
   const SimDuration net = Network{NetworkConfig{}}.RpcTime(kBlockSize);
   const SimDuration service = AsyncRpcConfig().data_service_time;
   rig.transport.Call(RpcKind::kReadBlock, 0, 0, kBlockSize, 0);
   rig.transport.Call(RpcKind::kReadBlock, 1, 0, kBlockSize, 0);
-  EXPECT_EQ(rig.server.service_queue_depth(), 0) << "events have not dispatched yet";
+  EXPECT_EQ(DepthGaugeAt(obs, net - 1), 0) << "neither request has arrived yet";
 
   // Both requests arrive at the server at `net`; completions at net+service
   // and net+2*service.
-  rig.queue.RunUntil(net + service / 2);
-  EXPECT_EQ(rig.server.service_queue_depth(), 2);
-  rig.queue.RunUntil(net + service + service / 2);
-  EXPECT_EQ(rig.server.service_queue_depth(), 1);
-  rig.queue.RunAll();
-  EXPECT_EQ(rig.server.service_queue_depth(), 0);
+  EXPECT_EQ(DepthGaugeAt(obs, net + service / 2), 2);
+  EXPECT_EQ(DepthGaugeAt(obs, net + service + service / 2), 1);
+  EXPECT_EQ(DepthGaugeAt(obs, net + 2 * service), 0);
 }
 
-TEST(RpcAsyncTest, CallAsyncDeliversTheReplyOnTheEventQueue) {
-  AsyncRig rig(AsyncRpcConfig());
-  const SimDuration net = Network{NetworkConfig{}}.RpcTime(kBlockSize);
-  const SimDuration service = AsyncRpcConfig().data_service_time;
-
-  SimTime delivered_at = -1;
-  SimDuration reported = -1;
-  rig.transport.CallAsync(RpcKind::kReadBlock, 0, 0, kBlockSize, 0,
-                          [&](SimDuration latency) {
-                            delivered_at = rig.queue.now();
-                            reported = latency;
-                          });
-  EXPECT_EQ(delivered_at, -1) << "the reply is an event, not a synchronous return";
-  rig.queue.RunAll();
-  EXPECT_EQ(reported, net + service);
-  EXPECT_EQ(delivered_at, net + service);
-}
-
-TEST(RpcAsyncTest, CallAsyncWithoutEventQueueThrows) {
-  RpcTransport transport{NetworkConfig{}, AsyncRpcConfig()};
-  EXPECT_THROW(transport.CallAsync(RpcKind::kReadBlock, 0, 0, kBlockSize, 0, [](SimDuration) {}),
-               std::logic_error);
-}
-
-TEST(RpcAsyncTest, DepthLimitBoundsResidencyWithoutChangingFifoTiming) {
-  // Under FIFO service a depth bound stalls the *sender* until a slot
-  // frees, which never changes when the request is served — it only bounds
-  // how many requests sit at the server. Latencies must be identical.
-  RpcConfig deep = AsyncRpcConfig();
-  deep.max_queue_depth = 64;
-  RpcConfig shallow = AsyncRpcConfig();
-  shallow.max_queue_depth = 1;
-  AsyncRig a(deep);
-  AsyncRig b(shallow);
-  for (int i = 0; i < 10; ++i) {
-    const SimDuration la = a.transport.Call(RpcKind::kReadBlock, i % 3, 0, kBlockSize, 0);
-    const SimDuration lb = b.transport.Call(RpcKind::kReadBlock, i % 3, 0, kBlockSize, 0);
-    EXPECT_EQ(la, lb) << "request " << i;
+TEST(RpcAsyncTest, AnalyticDepthMatchesTheEventDrivenCounter) {
+  // Reference: the counter this gauge replaced, moved by one arrival and
+  // one completion event per admission and read once the queue has run up
+  // to the read instant. Admissions arrive out of order, some are priority
+  // reopens, a crash resets the lane mid-flight (its requests' events still
+  // fire), and reads land on many exact arrival/completion instants.
+  const SimDuration control = AsyncRpcConfig().control_service_time;
+  for (const uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Observability obs(MetricsOnly());
+    Server server(0, ServerConfig{}, DiskConfig{}, ConsistencyPolicy::kSprite);
+    server.EnableServiceQueue(AsyncRpcConfig());
+    server.AttachObservability(&obs);
+    EventQueue queue;
+    int64_t depth = 0;
+    std::vector<SimTime> endpoints;
+    Rng rng(seed);
+    SimTime now = 0;
+    SimTime last_read = 0;
+    int reads = 0;
+    int tie_reads = 0;
+    for (int step = 0; step < 4000; ++step) {
+      now += rng.NextInRange(0, 2 * control);
+      if (step == 2000) {
+        server.Crash(now);
+      }
+      if (rng.NextBool(0.6)) {
+        const SimTime arrival = now + rng.NextInRange(0, 4 * control);
+        const bool priority = rng.NextBool(0.1);
+        const RpcKind kind =
+            priority || rng.NextBool(0.5) ? RpcKind::kReopen : RpcKind::kReadBlock;
+        const Server::Admission adm = server.AdmitRequest(kind, arrival, priority);
+        queue.Schedule(std::max(adm.arrival, queue.now()), [&depth] { ++depth; });
+        queue.Schedule(std::max(adm.completion(), queue.now()), [&depth] { --depth; });
+        endpoints.push_back(adm.arrival);
+        endpoints.push_back(adm.completion());
+        continue;
+      }
+      // Read at the issue cursor, or at a recent endpoint not yet passed.
+      SimTime t = now;
+      if (!endpoints.empty() && rng.NextBool(0.7)) {
+        const size_t recent = std::min<size_t>(endpoints.size(), 16);
+        const SimTime endpoint = endpoints[endpoints.size() - 1 - rng.NextBelow(recent)];
+        if (endpoint >= last_read) {
+          t = endpoint;
+          ++tie_reads;
+        }
+      }
+      queue.RunUntil(t);
+      ASSERT_EQ(DepthGaugeAt(obs, t), depth) << "seed " << seed << " step " << step;
+      last_read = t;
+      now = std::max(now, t);  // later requests are issued no earlier than the read
+      ++reads;
+    }
+    queue.RunAll();
+    EXPECT_EQ(depth, 0);
+    EXPECT_EQ(DepthGaugeAt(obs, queue.now()), 0);
+    EXPECT_GT(reads, 1000);
+    EXPECT_GT(tie_reads, 300) << "reads must hit exact arrival/completion instants";
   }
-  EXPECT_EQ(a.transport.ledger(), b.transport.ledger());
 }
 
 TEST(RpcAsyncTest, AdmitRequestGivesPriorityAdmissionsTheArrivalSlot) {

@@ -110,8 +110,8 @@ TEST(EventQueueTest, RunUntilAdvancesClockWhenIdle) {
   EXPECT_EQ(q.now(), 1000);
 }
 
-// --- RunUntil boundary contract (pinned; the async RPC transport's
-// --- completion events depend on these exact semantics) -----------------------
+// --- RunUntil boundary contract (pinned; periodic daemons and metrics
+// --- snapshots depend on these exact semantics) --------------------------------
 
 TEST(EventQueueTest, RunUntilDeadlineIsInclusive) {
   // An event scheduled at exactly the deadline runs, and the callback

@@ -10,7 +10,7 @@
 # asymmetric partition), asserting the recovery phases appear as spans, the
 # recovery summary renders without leaking enum spellings, and an empty
 # schedule leaves the paper tables byte-identical.
-# A third smoke drives the event-driven transport (--async): server queue
+# A third smoke drives the async transport (--async): server queue
 # recorders must appear in --metrics, "rpc.queued" spans must parse out of
 # the trace JSON, and the default sync mode must stay byte-identical to the
 # committed baseline in tools/baselines/.
@@ -53,9 +53,9 @@
 # additionally re-runs the randomized rebalance suites through ctest
 # --repeat until-pass:1 as a determinism sweep.
 # Finally (plain mode only) a perf gate builds a Release tree and runs the
-# BM_SimulateCluster trajectory via tools/bench_trajectory.py check: a >10%
-# events/sec regression against the newest committed BENCH_sim_*.json entry
-# fails the build. Skipped gracefully when google-benchmark is not installed.
+# BM_SimulateCluster trajectory via tools/bench_trajectory.py check: wall ms
+# per simulated hour more than 10% above the newest committed
+# BENCH_sim_*.json entry fails the build. Skipped gracefully when google-benchmark is not installed.
 #
 # Usage: tools/check.sh [--plain-only|--sanitize-only]
 set -eu

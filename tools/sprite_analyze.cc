@@ -52,9 +52,8 @@
 // RPC kind crosses the instrumented transport, then analyzes the trace that
 // run produced.
 //
-// Event-driven transport (requires --simulate):
-//   --async                run the cluster with RpcConfig::async: RPC
-//                          completion moves onto the event queue and each
+// Async transport (requires --simulate):
+//   --async                run the cluster with RpcConfig::async: each
 //                          server serializes requests through a FIFO
 //                          service queue, so concurrent RPCs overlap and a
 //                          loaded server accumulates queueing delay
@@ -142,6 +141,7 @@
 #include "src/trace/text_format.h"
 #include "src/util/table.h"
 #include "src/workload/generator.h"
+#include "tools/cli_flags.h"
 
 using namespace sprite;
 
@@ -238,12 +238,14 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next_int = [&](int& out) {
+    // The value of the current numeric flag, checked against [lo, INT32_MAX].
+    auto next_int = [&](int64_t lo) {
       if (i + 1 >= argc) {
         Usage();
         std::exit(2);
       }
-      out = std::atoi(argv[++i]);
+      return static_cast<int>(cli::IntFlag("sprite_analyze", arg.c_str(), argv[++i], lo,
+                                           INT32_MAX));
     };
     if (arg == "--text") {
       text = true;
@@ -267,19 +269,15 @@ int main(int argc, char** argv) {
       const std::string rate = arg == "--net-loss"
                                    ? std::string(argv[++i])
                                    : arg.substr(std::strlen("--net-loss="));
-      net_loss = std::atof(rate.c_str());
-      if (net_loss < 0.0 || net_loss >= 1.0) {
-        std::fprintf(stderr, "--net-loss wants a rate in [0, 1), got %s\n", rate.c_str());
-        return 2;
-      }
+      net_loss = cli::RateFlag("sprite_analyze", "--net-loss", rate.c_str(), 0.0, 1.0);
       net_contention = true;
     } else if (arg == "--heavy") {
       heavy = true;
-    } else if (arg == "--interval" && i + 1 < argc) {
-      interval = static_cast<SimDuration>(std::atoi(argv[++i])) * kSecond;
-    } else if (arg == "--metrics-interval" && i + 1 < argc) {
+    } else if (arg == "--interval") {
+      interval = static_cast<SimDuration>(next_int(1)) * kSecond;
+    } else if (arg == "--metrics-interval") {
       metrics = true;
-      metrics_interval = static_cast<SimDuration>(std::atoi(argv[++i])) * kSecond;
+      metrics_interval = static_cast<SimDuration>(next_int(0)) * kSecond;
     } else if (arg == "--trace-out" && i + 1 < argc) {
       trace_out = argv[++i];
     } else if (arg.rfind("--trace-out=", 0) == 0) {
@@ -310,19 +308,17 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--crash-schedule=", 0) == 0) {
       crash_schedule_spec = arg.substr(std::strlen("--crash-schedule="));
     } else if (arg == "--users") {
-      next_int(users);
+      users = next_int(1);
     } else if (arg == "--clients") {
-      next_int(clients);
+      clients = next_int(1);
     } else if (arg == "--servers") {
-      next_int(servers);
+      servers = next_int(1);
     } else if (arg == "--minutes") {
-      next_int(minutes);
+      minutes = next_int(1);
     } else if (arg == "--warmup") {
-      next_int(warmup);
+      warmup = next_int(0);
     } else if (arg == "--seed") {
-      int s = 0;
-      next_int(s);
-      seed = static_cast<uint64_t>(s);
+      seed = static_cast<uint64_t>(next_int(INT32_MIN));
     } else if (arg == "--help" || arg == "-h") {
       Usage();
       return 0;
@@ -403,10 +399,6 @@ int main(int argc, char** argv) {
   SimTime end_time = 0;
 
   if (simulate) {
-    if (users <= 0 || servers <= 0 || minutes <= 0 || warmup < 0) {
-      Usage();
-      return 2;
-    }
     if (clients < 0) {
       clients = users + 6;
     }

@@ -22,6 +22,7 @@
 #include "src/trace/codec.h"
 #include "src/trace/text_format.h"
 #include "src/workload/generator.h"
+#include "tools/cli_flags.h"
 
 using namespace sprite;
 
@@ -48,27 +49,27 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next_int = [&](int& out) {
+    // The value of the current numeric flag, checked against [lo, INT32_MAX].
+    auto next_int = [&](int64_t lo) {
       if (i + 1 >= argc) {
         Usage();
         std::exit(2);
       }
-      out = std::atoi(argv[++i]);
+      return static_cast<int>(cli::IntFlag("sprite_tracegen", arg.c_str(), argv[++i], lo,
+                                           INT32_MAX));
     };
     if (arg == "--users") {
-      next_int(users);
+      users = next_int(1);
     } else if (arg == "--clients") {
-      next_int(clients);
+      clients = next_int(1);
     } else if (arg == "--servers") {
-      next_int(servers);
+      servers = next_int(1);
     } else if (arg == "--minutes") {
-      next_int(minutes);
+      minutes = next_int(1);
     } else if (arg == "--warmup") {
-      next_int(warmup);
+      warmup = next_int(0);
     } else if (arg == "--seed") {
-      int s = 0;
-      next_int(s);
-      seed = static_cast<uint64_t>(s);
+      seed = static_cast<uint64_t>(next_int(INT32_MIN));
     } else if (arg == "--heavy") {
       heavy = true;
     } else if (arg == "--text") {
@@ -84,7 +85,7 @@ int main(int argc, char** argv) {
       output = arg;
     }
   }
-  if (output.empty() || users <= 0 || servers <= 0 || minutes <= 0 || warmup < 0) {
+  if (output.empty()) {
     Usage();
     return 2;
   }
