@@ -193,14 +193,6 @@ class RpcTransport {
   // DROPPED (recorded in the stale tracker), so the client's cache silently
   // goes stale.
   void SetPartition(ClientId client, ServerId server, SimTime from, SimTime until);
-  // Removes injected outages and partitions. Epoch bookkeeping survives:
-  // epochs are server identity, not a fault.
-  void ClearFaults() {
-    outages_.clear();
-    partitions_.clear();
-    outage_count_ = 0;
-    partition_count_ = 0;
-  }
 
   // Runs a client's reopen storm against one rebooted server; returns the
   // simulated duration of the storm (Client::ReplayOpens, registered by the
@@ -364,10 +356,6 @@ class ServerStub {
       : client_(client), server_(&server), transport_(&transport), standby_(standby) {}
 
   ServerId id() const { return server_->id(); }
-  // True when the transport runs async admission; callers use this
-  // to thread issue times through multi-RPC operations (a serial client
-  // must not queue behind itself).
-  bool async() const { return transport_->config().async; }
 
   Server::OpenReply Open(FileId file, OpenMode mode, bool is_directory, SimTime now);
   Server::CloseReply Close(FileId file, OpenMode mode, bool wrote, int64_t final_size,

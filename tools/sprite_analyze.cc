@@ -122,7 +122,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -247,6 +246,10 @@ int main(int argc, char** argv) {
       return static_cast<int>(cli::IntFlag("sprite_analyze", arg.c_str(), argv[++i], lo,
                                            INT32_MAX));
     };
+    // The value of the current string or rate flag, in either spelling.
+    auto value_of = [&](const char* flag) {
+      return cli::FlagValue("sprite_analyze", flag, argc, argv, &i);
+    };
     if (arg == "--text") {
       text = true;
     } else if (arg == "--rpc-ledger") {
@@ -265,11 +268,8 @@ int main(int argc, char** argv) {
       rpc_batching = true;
     } else if (arg == "--net-contention") {
       net_contention = true;
-    } else if ((arg == "--net-loss" && i + 1 < argc) || arg.rfind("--net-loss=", 0) == 0) {
-      const std::string rate = arg == "--net-loss"
-                                   ? std::string(argv[++i])
-                                   : arg.substr(std::strlen("--net-loss="));
-      net_loss = cli::RateFlag("sprite_analyze", "--net-loss", rate.c_str(), 0.0, 1.0);
+    } else if (const char* rate = value_of("--net-loss")) {
+      net_loss = cli::RateFlag("sprite_analyze", "--net-loss", rate, 0.0, 1.0);
       net_contention = true;
     } else if (arg == "--heavy") {
       heavy = true;
@@ -278,14 +278,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--metrics-interval") {
       metrics = true;
       metrics_interval = static_cast<SimDuration>(next_int(0)) * kSecond;
-    } else if (arg == "--trace-out" && i + 1 < argc) {
-      trace_out = argv[++i];
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      trace_out = arg.substr(std::strlen("--trace-out="));
-    } else if (arg == "--metrics-out" && i + 1 < argc) {
-      metrics_out = argv[++i];
-    } else if (arg.rfind("--metrics-out=", 0) == 0) {
-      metrics_out = arg.substr(std::strlen("--metrics-out="));
+    } else if (const char* file = value_of("--trace-out")) {
+      trace_out = file;
+    } else if (const char* file = value_of("--metrics-out")) {
+      metrics_out = file;
     } else if (arg == "--critical-path") {
       critical_path = true;
     } else if (arg == "--hotspot-report") {
@@ -294,19 +290,14 @@ int main(int argc, char** argv) {
       rebalance = true;
     } else if (arg == "--shard-report") {
       shard_report = true;
-    } else if ((arg == "--shard-policy" && i + 1 < argc) || arg.rfind("--shard-policy=", 0) == 0) {
-      const std::string name = arg == "--shard-policy"
-                                   ? std::string(argv[++i])
-                                   : arg.substr(std::strlen("--shard-policy="));
+    } else if (const char* name = value_of("--shard-policy")) {
       if (!ParseShardingPolicy(name, &shard_policy)) {
         std::fprintf(stderr, "unknown --shard-policy %s (want modulo|hash|range|dir-affinity)\n",
-                     name.c_str());
+                     name);
         return 2;
       }
-    } else if (arg == "--crash-schedule" && i + 1 < argc) {
-      crash_schedule_spec = argv[++i];
-    } else if (arg.rfind("--crash-schedule=", 0) == 0) {
-      crash_schedule_spec = arg.substr(std::strlen("--crash-schedule="));
+    } else if (const char* spec = value_of("--crash-schedule")) {
+      crash_schedule_spec = spec;
     } else if (arg == "--users") {
       users = next_int(1);
     } else if (arg == "--clients") {
