@@ -240,8 +240,8 @@ void BM_WorkloadGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_WorkloadGeneration)->Unit(benchmark::kMillisecond);
 
-// End-to-end cluster scenarios for the committed perf trajectory
-// (BENCH_<scenario>.json, see tools/bench_trajectory.py): run the full
+// End-to-end cluster scenarios for the same-host perf gate (scenario
+// <clients>x<servers>, see tools/bench_trajectory.py): run the full
 // synthetic workload — users, caches, RPC transport, cleaner daemons,
 // trace collection — at three cluster scales and report dispatched-event
 // throughput, simulated time per iteration, and peak RSS. The scenario
@@ -283,7 +283,7 @@ BENCHMARK(BM_SimulateCluster)
     ->Args({400, 32})
     ->Unit(benchmark::kMillisecond);
 
-// The rebalance ablation scenario (BENCH_sim_rebalance_<c>x<s>.json): the
+// The rebalance ablation scenario (rebalance_<c>x<s> in the perf gate): the
 // modulo hot-spot recipe — heavy simulation load on an async transport with
 // windowed metrics, the detector, and the rebalancer all armed — so perf
 // PRs gate the migration machinery's end-to-end cost, not just the quiet

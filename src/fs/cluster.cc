@@ -131,9 +131,7 @@ Cluster::Cluster(const ClusterConfig& config, EventQueue& queue)
   for (int c = 0; c < config.num_clients; ++c) {
     const ClientId id = static_cast<ClientId>(c);
     // Each client's router hands out stubs that route through the transport.
-    Client::ServerRouter router = [this, id](FileId file) {
-      return ServerStub(id, ServerForFile(file), *transport_, StandbyForFile(file));
-    };
+    Client::ServerRouter router = [this, id](FileId file) { return StubFor(id, file); };
     clients_.push_back(std::make_unique<Client>(id, config.client, std::move(router), sink,
                                                 &handle_counter_));
     clients_.back()->SetAsyncRpc(config.rpc.async);
@@ -156,23 +154,31 @@ ServerId Cluster::RouteHome(FileId file) const {
   return rebalancer_ != nullptr ? rebalancer_->Route(file) : sharder_->ServerFor(file);
 }
 
+ServerId Cluster::Physical(ServerId home) const {
+  return replica_ != nullptr ? replica_->active(home) : home;
+}
+
+auto Cluster::HomeFilter(ServerId home) const {
+  return [this, home](FileId f) { return RouteHome(f) == home; };
+}
+
 Server& Cluster::ServerForFile(FileId file) {
   const ServerId home = RouteHome(file);
   // The ledger records the POLICY's placement decision; which physical
   // replica serves the home is the replication layer's concern.
   placement_.Note(home, file);
-  return *servers_[replica_ != nullptr ? replica_->active(home) : home];
+  return *servers_[Physical(home)];
 }
 
-Server* Cluster::StandbyForFile(FileId file) {
-  if (replica_ == nullptr) {
-    return nullptr;
-  }
+ServerStub Cluster::StubFor(ClientId client, FileId file) {
   const ServerId home = RouteHome(file);
-  if (!replica_->shadowing(home)) {
-    return nullptr;  // standby down or not yet resynced: shadowing paused
-  }
-  return servers_[replica_->standby(home)].get();
+  placement_.Note(home, file);
+  // The shadowing backup of the home, if any (none while the standby is
+  // down or not yet resynced).
+  Server* standby = replica_ != nullptr && replica_->shadowing(home)
+                        ? servers_[replica_->standby(home)].get()
+                        : nullptr;
+  return ServerStub(client, *servers_[Physical(home)], *transport_, standby);
 }
 
 void Cluster::StartDaemons(SimDuration sample_period) {
@@ -281,24 +287,22 @@ bool Cluster::IsLive(ServerId server) const {
 }
 
 bool Cluster::IsDown(ServerId server, SimTime now) const {
-  const ServerId physical = replica_ != nullptr ? replica_->active(server) : server;
+  const ServerId physical = Physical(server);
   return static_cast<size_t>(physical) < down_until_.size() && now < down_until_[physical];
 }
 
 std::vector<std::pair<FileId, int64_t>> Cluster::HomedFiles(ServerId server) const {
-  const ServerId physical = replica_ != nullptr ? replica_->active(server) : server;
-  return servers_.at(physical)->HomedFiles();
+  return servers_.at(Physical(server))->HomedFiles();
 }
 
 int64_t Cluster::HomedBytes(ServerId server) const {
-  const ServerId physical = replica_ != nullptr ? replica_->active(server) : server;
-  return servers_.at(physical)->HomedBytes();
+  return servers_.at(Physical(server))->HomedBytes();
 }
 
 MigrationOutcome Cluster::Migrate(FileId file, ServerId from, ServerId to, SimTime now) {
   MigrationOutcome out;
-  const ServerId src_id = replica_ != nullptr ? replica_->active(from) : from;
-  const ServerId dst_id = replica_ != nullptr ? replica_->active(to) : to;
+  const ServerId src_id = Physical(from);
+  const ServerId dst_id = Physical(to);
   if (src_id == dst_id) {
     return out;
   }
@@ -587,7 +591,7 @@ int64_t Cluster::CrashServer(ServerId server, SimDuration down_for) {
     const ServerId backup = replica_->standby(home);
     replica_->Promote(home);
     Server& b = *servers_[backup];
-    const auto mine = [this, home](FileId f) { return RouteHome(f) == home; };
+    const auto mine = HomeFilter(home);
     const int64_t files_adopted = b.TakeOverMetadata(s, mine);
     const Server::FailoverDelta delta = b.InstallShadow(mine, now);
     const SimDuration failover_us = config_.replication.detection_delay +
@@ -657,8 +661,7 @@ void Cluster::RejoinServer(ServerId server) {
     if (now < down_until_[active]) {
       continue;  // correlated crash: the active is down too; re-arm when it rejoins
     }
-    const auto mine = [this, home](FileId f) { return RouteHome(f) == home; };
-    servers_[server]->ResyncShadowFrom(*servers_[active], mine);
+    servers_[server]->ResyncShadowFrom(*servers_[active], HomeFilter(home));
     resynced(server, home);
   }
   // Heal deferred shadows for homes this server serves whose standby is
@@ -671,8 +674,7 @@ void Cluster::RejoinServer(ServerId server) {
     if (now < down_until_[standby]) {
       continue;
     }
-    const auto mine = [this, home](FileId f) { return RouteHome(f) == home; };
-    servers_[standby]->ResyncShadowFrom(*servers_[server], mine);
+    servers_[standby]->ResyncShadowFrom(*servers_[server], HomeFilter(home));
     resynced(standby, home);
   }
 }

@@ -207,6 +207,17 @@ class Cluster : private RebalanceHost {
   // physical server serves the slot is the replication layer's concern
   // (replica_->active). Pure — no placement-ledger note.
   ServerId RouteHome(FileId file) const;
+  // The physical server serving home slot `home` (itself unless a
+  // fail-over promoted its standby).
+  ServerId Physical(ServerId home) const;
+  // Selects the files whose routed home is `home`: the scope of one
+  // fail-over or shadow resync.
+  auto HomeFilter(ServerId home) const;
+  // The stub a client's router hands out for `file`: one routing (one
+  // placement-ledger note) to the serving server, plus the home's
+  // shadowing standby (null when replication is off or the shadow is not
+  // live).
+  ServerStub StubFor(ClientId client, FileId file);
 
   // RebalanceHost: the Rebalancer's view of the cluster. Ids are home
   // slots; under replication they map through replica_->active to the
@@ -232,9 +243,6 @@ class Cluster : private RebalanceHost {
   // — the candidate set a topology event's moves are computed from.
   std::vector<std::pair<FileId, ServerId>> HomeCensus() const;
 
-  // A file's standby stub target: the shadowing backup of the file's home,
-  // or null when replication is off / the shadow is not live.
-  Server* StandbyForFile(FileId file);
   // Outage-end hook (scheduled by CrashServer): the rebooted server resyncs
   // the shadows it provides and re-arms any deferred ones it is owed.
   void RejoinServer(ServerId server);

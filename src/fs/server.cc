@@ -6,6 +6,69 @@
 
 namespace sprite {
 
+size_t OpenTable::LowerBound(ClientId client) const {
+  return static_cast<size_t>(
+      std::lower_bound(entries_.begin(), entries_.end(), client,
+                       [](const Entry& e, ClientId c) { return e.client < c; }) -
+      entries_.begin());
+}
+
+OpenTable::Entry& OpenTable::Slot(ClientId client) {
+  const size_t i = LowerBound(client);
+  if (i == entries_.size() || entries_[i].client != client) {
+    entries_.insert(entries_.begin() + i, Entry{client, 0, 0});
+  }
+  return entries_[i];
+}
+
+void OpenTable::Add(ClientId client, bool writer) {
+  Entry& e = Slot(client);
+  ++(writer ? e.writers : e.readers);
+  write_shared_ = ComputeWriteShared();
+}
+
+void OpenTable::Remove(ClientId client, bool writer) {
+  const size_t i = LowerBound(client);
+  if (i == entries_.size() || entries_[i].client != client) {
+    return;
+  }
+  Entry& e = entries_[i];
+  int& count = writer ? e.writers : e.readers;
+  if (count > 0) {
+    --count;
+  }
+  if (e.readers == 0 && e.writers == 0) {
+    entries_.erase(entries_.begin() + i);
+  }
+  write_shared_ = ComputeWriteShared();
+}
+
+void OpenTable::Drop(ClientId client) {
+  if (const Entry* e = Find(client)) {
+    entries_.erase(entries_.begin() + (e - entries_.data()));
+    write_shared_ = ComputeWriteShared();
+  }
+}
+
+void OpenTable::Merge(const OpenTable& other) {
+  for (const Entry& e : other.entries_) {
+    Entry& slot = Slot(e.client);
+    slot.readers += e.readers;
+    slot.writers += e.writers;
+  }
+  write_shared_ = ComputeWriteShared();
+}
+
+const OpenTable::Entry* OpenTable::Find(ClientId client) const {
+  const size_t i = LowerBound(client);
+  return i < entries_.size() && entries_[i].client == client ? &entries_[i] : nullptr;
+}
+
+bool OpenTable::ComputeWriteShared() const {
+  return entries_.size() >= 2 &&
+         std::any_of(entries_.begin(), entries_.end(), [](const Entry& e) { return e.writers > 0; });
+}
+
 Server::Server(ServerId id, const ServerConfig& config, const DiskConfig& disk_config,
                ConsistencyPolicy policy)
     : id_(id),
@@ -164,16 +227,6 @@ CacheControl* Server::ControlFor(ClientId client) const {
   return client < clients_.size() ? clients_[client] : nullptr;
 }
 
-Server::OpenEntry& Server::OpenFor(OpenState& state, ClientId client) {
-  auto it = std::lower_bound(
-      state.opens.begin(), state.opens.end(), client,
-      [](const OpenEntry& e, ClientId c) { return e.client < c; });
-  if (it == state.opens.end() || it->client != client) {
-    it = state.opens.insert(it, OpenEntry{client, 0, 0});
-  }
-  return *it;
-}
-
 Server::FileMeta& Server::EnsureFile(FileId file) {
   auto [it, inserted] = files_.try_emplace(file);
   if (inserted) {
@@ -266,26 +319,10 @@ Server::FileMeta Server::TakeMeta(std::unordered_map<FileId, FileMeta>::iterator
   return meta;
 }
 
-bool Server::ComputeWriteShared(const OpenState& state) {
-  if (state.opens.size() < 2) {
-    return false;
-  }
-  for (const OpenEntry& open : state.opens) {
-    if (open.writers > 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
 bool Server::OpenStateSharingConsistent() const {
-  for (const auto& [file, state] : open_states_) {
-    (void)file;
-    if (state.write_shared != ComputeWriteShared(state)) {
-      return false;
-    }
-  }
-  return true;
+  return std::all_of(open_states_.begin(), open_states_.end(), [](const auto& entry) {
+    return entry.second.opens.write_shared() == entry.second.opens.ComputeWriteShared();
+  });
 }
 
 void Server::EnforceSharing(FileId file, OpenState& state, ClientId client, bool writer_open,
@@ -293,7 +330,7 @@ void Server::EnforceSharing(FileId file, OpenState& state, ClientId client, bool
   switch (policy_) {
     case ConsistencyPolicy::kSprite:
     case ConsistencyPolicy::kSpriteModified: {
-      if (IsWriteShared(state)) {
+      if (state.opens.write_shared()) {
         if (count) {
           ++counters_.write_sharing_opens;
         }
@@ -302,7 +339,7 @@ void Server::EnforceSharing(FileId file, OpenState& state, ClientId client, bool
         }
         if (state.cacheable) {
           state.cacheable = false;
-          for (const OpenEntry& open : state.opens) {
+          for (const OpenTable::Entry& open : state.opens) {
             if (CacheControl* control = ControlFor(open.client)) {
               control->DisableCaching(file, now);
             }
@@ -313,7 +350,7 @@ void Server::EnforceSharing(FileId file, OpenState& state, ClientId client, bool
     }
     case ConsistencyPolicy::kToken: {
       // The file stays cacheable; conflicting opens recall tokens instead.
-      if (IsWriteShared(state)) {
+      if (state.opens.write_shared()) {
         if (count) {
           ++counters_.write_sharing_opens;
         }
@@ -323,7 +360,7 @@ void Server::EnforceSharing(FileId file, OpenState& state, ClientId client, bool
       }
       if (writer_open) {
         // A write token conflicts with every other client's token.
-        for (const OpenEntry& open : state.opens) {
+        for (const OpenTable::Entry& open : state.opens) {
           if (open.client != client) {
             if (CacheControl* control = ControlFor(open.client)) {
               control->RecallToken(file, now, /*invalidate=*/true);
@@ -332,7 +369,7 @@ void Server::EnforceSharing(FileId file, OpenState& state, ClientId client, bool
         }
       } else {
         // A read token conflicts only with another client's write token.
-        for (const OpenEntry& open : state.opens) {
+        for (const OpenTable::Entry& open : state.opens) {
           if (open.client != client && open.writers > 0) {
             if (CacheControl* control = ControlFor(open.client)) {
               control->RecallToken(file, now, /*invalidate=*/false);
@@ -380,16 +417,8 @@ Server::OpenReply Server::Open(ClientId client, FileId file, OpenMode mode, bool
     meta.last_writer.reset();
   }
 
-  // Register this open.
-  OpenEntry& open = OpenFor(state, client);
   const bool writer_open = mode != OpenMode::kRead;
-  if (writer_open) {
-    ++open.writers;
-  } else {
-    ++open.readers;
-  }
-  UpdateWriteShared(state);
-
+  state.opens.Add(client, writer_open);
   EnforceSharing(file, state, client, writer_open, /*count=*/true, now, &reply);
 
   reply.version = meta.version;
@@ -418,37 +447,30 @@ Server::CloseReply Server::Close(ClientId client, FileId file, OpenMode mode, bo
     return reply;
   }
   OpenState& state = state_it->second;
-  auto open_it = std::lower_bound(
-      state.opens.begin(), state.opens.end(), client,
-      [](const OpenEntry& e, ClientId c) { return e.client < c; });
-  if (open_it != state.opens.end() && open_it->client == client) {
-    const bool writer_open = mode != OpenMode::kRead;
-    int& counter = writer_open ? open_it->writers : open_it->readers;
-    if (counter > 0) {
-      --counter;
-    }
-    if (open_it->readers == 0 && open_it->writers == 0) {
-      state.opens.erase(open_it);
-    }
-    UpdateWriteShared(state);
-  }
-
-  if (!state.cacheable) {
-    const bool reenable =
-        policy_ == ConsistencyPolicy::kSpriteModified ? !IsWriteShared(state) : state.opens.empty();
-    if (reenable) {
-      state.cacheable = true;
-      for (const OpenEntry& open : state.opens) {
-        if (CacheControl* control = ControlFor(open.client)) {
-          control->EnableCaching(file, now);
-        }
-      }
-    }
-  }
+  state.opens.Remove(client, mode != OpenMode::kRead);
+  ReenableCaching(file, state, now);
   if (state.opens.empty()) {
     open_states_.erase(state_it);
   }
   return reply;
+}
+
+void Server::ReenableCaching(FileId file, OpenState& state, SimTime now) {
+  if (state.cacheable) {
+    return;
+  }
+  // Sprite waits for every client to close; modified Sprite re-enables as
+  // soon as the write-sharing ends.
+  if (policy_ == ConsistencyPolicy::kSpriteModified ? state.opens.write_shared()
+                                                    : !state.opens.empty()) {
+    return;
+  }
+  state.cacheable = true;
+  for (const OpenTable::Entry& open : state.opens) {
+    if (CacheControl* control = ControlFor(open.client)) {
+      control->EnableCaching(file, now);
+    }
+  }
 }
 
 SimDuration Server::TouchServerCache(FileId file, int64_t block, bool write, int64_t bytes,
@@ -534,12 +556,7 @@ void Server::ClientCrashed(ClientId client, SimTime now) {
   // extents stay: the writebacks carrying them did complete on the primary.
   for (auto it = shadow_.begin(); it != shadow_.end();) {
     ShadowFile& sf = it->second;
-    auto open_it = std::lower_bound(
-        sf.opens.begin(), sf.opens.end(), client,
-        [](const ShadowOpenEntry& e, ClientId c) { return e.client < c; });
-    if (open_it != sf.opens.end() && open_it->client == client) {
-      sf.opens.erase(open_it);
-    }
+    sf.opens.Drop(client);
     if (sf.last_writer == client) {
       sf.last_writer.reset();
     }
@@ -547,31 +564,9 @@ void Server::ClientCrashed(ClientId client, SimTime now) {
   }
   for (auto it = open_states_.begin(); it != open_states_.end();) {
     OpenState& state = it->second;
-    auto open_it = std::lower_bound(
-        state.opens.begin(), state.opens.end(), client,
-        [](const OpenEntry& e, ClientId c) { return e.client < c; });
-    if (open_it != state.opens.end() && open_it->client == client) {
-      state.opens.erase(open_it);
-    }
-    UpdateWriteShared(state);
-    if (!state.cacheable) {
-      const bool reenable = policy_ == ConsistencyPolicy::kSpriteModified
-                                ? !IsWriteShared(state)
-                                : state.opens.empty();
-      if (reenable) {
-        state.cacheable = true;
-        for (const OpenEntry& open : state.opens) {
-          if (CacheControl* control = ControlFor(open.client)) {
-            control->EnableCaching(it->first, now);
-          }
-        }
-      }
-    }
-    if (state.opens.empty()) {
-      it = open_states_.erase(it);
-    } else {
-      ++it;
-    }
+    state.opens.Drop(client);
+    ReenableCaching(it->first, state, now);
+    it = state.opens.empty() ? open_states_.erase(it) : std::next(it);
   }
 }
 
@@ -627,14 +622,8 @@ Server::ReopenReply Server::Reopen(ClientId client, FileId file, OpenMode mode,
   }
   if (has_handle) {
     OpenState& state = open_states_[file];
-    OpenEntry& open = OpenFor(state, client);
     const bool writer_open = mode != OpenMode::kRead;
-    if (writer_open) {
-      ++open.writers;
-    } else {
-      ++open.readers;
-    }
-    UpdateWriteShared(state);
+    state.opens.Add(client, writer_open);
     // Re-registration can recreate concurrent write-sharing among the
     // already-reopened handles; the usual callbacks fire, but these are not
     // new opens, so Table 10's counters are untouched.
@@ -648,18 +637,7 @@ Server::ReopenReply Server::Reopen(ClientId client, FileId file, OpenMode mode,
 // --- Primary/backup replication: the standby's shadow ------------------------
 
 void Server::ShadowOpen(ClientId client, FileId file, OpenMode mode) {
-  ShadowFile& sf = shadow_[file];
-  auto it = std::lower_bound(
-      sf.opens.begin(), sf.opens.end(), client,
-      [](const ShadowOpenEntry& e, ClientId c) { return e.client < c; });
-  if (it == sf.opens.end() || it->client != client) {
-    it = sf.opens.insert(it, ShadowOpenEntry{client, 0, 0});
-  }
-  if (mode != OpenMode::kRead) {
-    ++it->writers;
-  } else {
-    ++it->readers;
-  }
+  shadow_[file].opens.Add(client, mode != OpenMode::kRead);
 }
 
 void Server::ShadowClose(ClientId client, FileId file, OpenMode mode, bool wrote) {
@@ -671,18 +649,7 @@ void Server::ShadowClose(ClientId client, FileId file, OpenMode mode, bool wrote
   if (wrote) {
     sf.last_writer = client;  // the closer's cache holds the newest data
   }
-  auto it = std::lower_bound(
-      sf.opens.begin(), sf.opens.end(), client,
-      [](const ShadowOpenEntry& e, ClientId c) { return e.client < c; });
-  if (it != sf.opens.end() && it->client == client) {
-    int& counter = mode != OpenMode::kRead ? it->writers : it->readers;
-    if (counter > 0) {
-      --counter;
-    }
-    if (it->readers == 0 && it->writers == 0) {
-      sf.opens.erase(it);
-    }
-  }
+  sf.opens.Remove(client, mode != OpenMode::kRead);
   if (sf.empty()) {
     shadow_.erase(sit);
   }
@@ -724,25 +691,11 @@ void Server::ShadowBlockClean(FileId file, int64_t block) {
 
 bool Server::HasShadowOpen(FileId file, ClientId client) const {
   auto sit = shadow_.find(file);
-  if (sit == shadow_.end()) {
-    return false;
-  }
-  const auto& opens = sit->second.opens;
-  auto it = std::lower_bound(
-      opens.begin(), opens.end(), client,
-      [](const ShadowOpenEntry& e, ClientId c) { return e.client < c; });
-  return it != opens.end() && it->client == client;
+  return sit != shadow_.end() && sit->second.opens.Find(client) != nullptr;
 }
 
-int64_t Server::TakeOverMetadata(Server& failed, const std::function<bool(FileId)>& mine) {
-  std::vector<FileId> moved;
-  for (const auto& [file, meta] : failed.files_) {
-    (void)meta;
-    if (mine(file)) {
-      moved.push_back(file);
-    }
-  }
-  std::sort(moved.begin(), moved.end());
+int64_t Server::TakeOverMetadata(Server& failed, FileFilter mine) {
+  const std::vector<FileId> moved = failed.AllFileIds(mine);
   for (FileId file : moved) {
     // The failed home's disk image is authoritative for its files.
     PutMeta(file, failed.TakeMeta(failed.files_.find(file)));
@@ -750,8 +703,7 @@ int64_t Server::TakeOverMetadata(Server& failed, const std::function<bool(FileId
   return static_cast<int64_t>(moved.size());
 }
 
-Server::FailoverDelta Server::InstallShadow(const std::function<bool(FileId)>& mine,
-                                            SimTime now) {
+Server::FailoverDelta Server::InstallShadow(FileFilter mine, SimTime now) {
   FailoverDelta delta;
   for (auto it = shadow_.begin(); it != shadow_.end();) {
     const FileId file = it->first;
@@ -762,20 +714,12 @@ Server::FailoverDelta Server::InstallShadow(const std::function<bool(FileId)>& m
     ShadowFile& sf = it->second;
     auto fit = files_.find(file);
     if (fit != files_.end() && fit->second.exists && !fit->second.is_directory) {
-      if (!sf.opens.empty()) {
-        OpenState& state = open_states_[file];
-        for (const ShadowOpenEntry& e : sf.opens) {
-          OpenEntry& open = OpenFor(state, e.client);
-          open.readers += e.readers;
-          open.writers += e.writers;
-          ++delta.entries;
-        }
-        UpdateWriteShared(state);
+      if (OpenState* state = AdoptOpens(file, sf.opens)) {
+        delta.entries += static_cast<int64_t>(sf.opens.size());
         // Mirror what the failed primary had already enforced on the clients
-        // (they were told to stop caching when sharing began); no callbacks
-        // fire here — promotion installs state, it does not renegotiate.
-        state.cacheable =
-            policy_ == ConsistencyPolicy::kToken ? true : !IsWriteShared(state);
+        // (they were told to stop caching when sharing began).
+        state->cacheable =
+            policy_ == ConsistencyPolicy::kToken || !state->opens.write_shared();
       }
       if (sf.last_writer.has_value()) {
         fit->second.last_writer = sf.last_writer;
@@ -791,16 +735,8 @@ Server::FailoverDelta Server::InstallShadow(const std::function<bool(FileId)>& m
   return delta;
 }
 
-void Server::ResyncShadowFrom(const Server& primary, const std::function<bool(FileId)>& mine) {
-  std::vector<FileId> ids;
-  for (const auto& [file, meta] : primary.files_) {
-    (void)meta;
-    if (mine(file)) {
-      ids.push_back(file);
-    }
-  }
-  std::sort(ids.begin(), ids.end());
-  for (FileId file : ids) {
+void Server::ResyncShadowFrom(const Server& primary, FileFilter mine) {
+  for (FileId file : primary.AllFileIds(mine)) {
     shadow_.erase(file);  // the primary's live state supersedes any residue
     const FileMeta& meta = primary.files_.at(file);
     if (!meta.exists || meta.is_directory) {
@@ -808,10 +744,7 @@ void Server::ResyncShadowFrom(const Server& primary, const std::function<bool(Fi
     }
     ShadowFile sf;
     if (auto oit = primary.open_states_.find(file); oit != primary.open_states_.end()) {
-      sf.opens.reserve(oit->second.opens.size());
-      for (const OpenEntry& e : oit->second.opens) {
-        sf.opens.push_back(ShadowOpenEntry{e.client, e.readers, e.writers});
-      }
+      sf.opens = oit->second.opens;
     }
     sf.last_writer = meta.last_writer;
     primary.cache_.ForEachDirtyBlock(file, [&sf](int64_t block, int64_t extent) {
@@ -848,10 +781,7 @@ Server::MigratedFile Server::ExportFile(FileId file, SimTime now) {
   image.meta = TakeMeta(fit);
   if (auto oit = open_states_.find(file); oit != open_states_.end()) {
     image.cacheable = oit->second.cacheable;
-    image.opens.reserve(oit->second.opens.size());
-    for (const OpenEntry& e : oit->second.opens) {
-      image.opens.push_back(MigratedOpen{e.client, e.readers, e.writers});
-    }
+    image.opens = std::move(oit->second.opens);
     open_states_.erase(oit);
   }
   // Post-flush the cached blocks are clean; drop them so a stale copy can
@@ -865,18 +795,18 @@ void Server::ImportFile(FileId file, const MigratedFile& image) {
     return;
   }
   PutMeta(file, image.meta);
-  if (!image.opens.empty()) {
-    OpenState& state = open_states_[file];
-    for (const MigratedOpen& e : image.opens) {
-      OpenEntry& open = OpenFor(state, e.client);
-      open.readers += e.readers;
-      open.writers += e.writers;
-    }
-    UpdateWriteShared(state);
-    // The old home already enforced sharing on the clients; installation
-    // adopts its verdict rather than renegotiating.
-    state.cacheable = image.cacheable;
+  if (OpenState* state = AdoptOpens(file, image.opens)) {
+    state->cacheable = image.cacheable;  // the old home's verdict travels along
   }
+}
+
+Server::OpenState* Server::AdoptOpens(FileId file, const OpenTable& opens) {
+  if (opens.empty()) {
+    return nullptr;
+  }
+  OpenState& state = open_states_[file];
+  state.opens.Merge(opens);
+  return &state;
 }
 
 void Server::FreezeFileUntil(FileId file, SimTime until) {
@@ -909,26 +839,26 @@ SimDuration Server::MigrationStall(FileId file, SimTime now) {
 
 void Server::DropShadowFile(FileId file) { shadow_.erase(file); }
 
-std::vector<FileId> Server::AllFileIds() const {
+std::vector<FileId> Server::AllFileIds(FileFilter mine) const {
   std::vector<FileId> out;
-  out.reserve(files_.size());
   for (const auto& [file, meta] : files_) {
     (void)meta;
-    out.push_back(file);
+    if (!mine || mine(file)) {
+      out.push_back(file);
+    }
   }
-  std::sort(out.begin(), out.end());
+  std::sort(out.begin(), out.end());  // files_ iterates in hash order
   return out;
 }
 
 std::vector<std::pair<FileId, int64_t>> Server::HomedFiles() const {
   std::vector<std::pair<FileId, int64_t>> out;
-  out.reserve(files_.size());
-  for (const auto& [file, meta] : files_) {
+  for (FileId file : AllFileIds()) {
+    const FileMeta& meta = files_.at(file);
     if (meta.exists && !meta.is_directory) {
       out.push_back({file, meta.size});
     }
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -32,8 +32,53 @@
 #include "src/fs/types.h"
 #include "src/obs/observability.h"
 #include "src/trace/record.h"  // OpenMode
+#include "src/util/function_ref.h"
 
 namespace sprite {
+
+// Which clients have one file open, and how many read and write handles
+// each holds: the server-side fact Sprite's consistency machinery rests on
+// (Section 5). The primary's open state, a standby's shadow and a
+// migration image all carry one. A flat vector sorted by client id: a file
+// is rarely open on more than a couple of clients, and ascending order
+// gives the consistency callbacks their deterministic client-id order.
+// No entry ever has both counts zero. The table keeps its write-shared bit
+// (open on two or more clients, one of them writing) current itself.
+class OpenTable {
+ public:
+  struct Entry {
+    ClientId client = 0;
+    int readers = 0;
+    int writers = 0;
+  };
+
+  // Registers one read (or, with `writer`, write) handle of `client`.
+  void Add(ClientId client, bool writer);
+  // Releases one such handle; a no-op when `client` holds none of that kind.
+  void Remove(ClientId client, bool writer);
+  // Forgets every handle of `client` (it crashed).
+  void Drop(ClientId client);
+  // Adds `other`'s handles to this table's.
+  void Merge(const OpenTable& other);
+  const Entry* Find(ClientId client) const;
+
+  bool write_shared() const { return write_shared_; }
+  // Recomputes the write-shared bit from the entries (its source of truth).
+  bool ComputeWriteShared() const;
+  bool empty() const { return entries_.empty(); }
+  size_t size() const { return entries_.size(); }
+  std::vector<Entry>::const_iterator begin() const { return entries_.begin(); }
+  std::vector<Entry>::const_iterator end() const { return entries_.end(); }
+
+ private:
+  // Index of the first entry whose client is not below `client`.
+  size_t LowerBound(ClientId client) const;
+  // Find-or-insert (with zero counts) keeping the entries sorted.
+  Entry& Slot(ClientId client);
+
+  std::vector<Entry> entries_;  // sorted by client id
+  bool write_shared_ = false;
+};
 
 // Server-to-client control callbacks (cache consistency commands). The
 // Client implements this; an interface keeps fs/server decoupled from
@@ -66,6 +111,9 @@ class Server {
     // Client whose cache may hold the newest data (delayed writes).
     std::optional<ClientId> last_writer;
   };
+
+  // Selects the files one fail-over, resync or migration covers.
+  using FileFilter = FunctionRef<bool(FileId)>;
 
   struct OpenReply {
     uint64_t version = 1;
@@ -210,18 +258,18 @@ class Server {
   // ascending id order, deterministically) to this server. Returns the
   // number of files adopted. The failed server has already crashed, so its
   // last-writer fields are clear.
-  int64_t TakeOverMetadata(Server& failed, const std::function<bool(FileId)>& mine);
+  int64_t TakeOverMetadata(Server& failed, FileFilter mine);
   // Fail-over promotion, step 2: replay the shadow delta for homes selected
   // by `mine` into real state — opens enter the open-state table (write
   // sharing recomputed, no callbacks fired: the primary already enforced it
   // on the clients), last writers land in metadata, dirty extents enter the
   // block cache. Installed entries leave the shadow. Entries for files that
   // no longer exist are discarded.
-  FailoverDelta InstallShadow(const std::function<bool(FileId)>& mine, SimTime now);
+  FailoverDelta InstallShadow(FileFilter mine, SimTime now);
   // Rebuilds this standby's shadow for homes selected by `mine` from the
   // live primary's current volatile state (rejoin after an outage, or
   // re-arming a deferred shadow after a degraded crash).
-  void ResyncShadowFrom(const Server& primary, const std::function<bool(FileId)>& mine);
+  void ResyncShadowFrom(const Server& primary, FileFilter mine);
   int shadow_file_count() const { return static_cast<int>(shadow_.size()); }
 
   // --- Live rebalancing: charged home migration (DESIGN.md §11) --------------
@@ -235,15 +283,10 @@ class Server {
   // volatile open registrations and the consistency cacheable bit. Unlike
   // TakeOverMetadata (crashed source, last writers already cleared), a live
   // migration preserves last_writer and the enforced sharing state.
-  struct MigratedOpen {
-    ClientId client = 0;
-    int readers = 0;
-    int writers = 0;
-  };
   struct MigratedFile {
     bool valid = false;  // false: the source does not know the file
     FileMeta meta;
-    std::vector<MigratedOpen> opens;  // sorted by client id
+    OpenTable opens;
     bool cacheable = true;
   };
 
@@ -274,10 +317,11 @@ class Server {
   // ascending by id — the deterministic victim-selection input for the
   // Rebalancer.
   std::vector<std::pair<FileId, int64_t>> HomedFiles() const;
-  // Every file id with metadata here, ascending — directories and delete
-  // tombstones included. The resize sweep moves all of them, so version
-  // history never strands on a server nothing routes to any more.
-  std::vector<FileId> AllFileIds() const;
+  // Every file id with metadata here that `mine` selects (all when null),
+  // ascending — directories and delete tombstones included. The resize
+  // sweep moves all of them, so version history never strands on a server
+  // nothing routes to any more.
+  std::vector<FileId> AllFileIds(FileFilter mine = nullptr) const;
 
   // --- Service queue (async transport) ---------------------------------------
   // In async transport mode (RpcConfig::async) every wire-occupying request
@@ -329,46 +373,20 @@ class Server {
   int64_t HomedBytes() const { return homed_bytes_; }
   ConsistencyPolicy policy() const { return policy_; }
   int open_state_count() const { return static_cast<int>(open_states_.size()); }
-  // Test hook: recomputes every open state's write-sharing bit from its
-  // opens table and compares with the cached bit (which is invalidated on
-  // open/close/crash/reopen). True when all cached bits are consistent.
+  // Test hook: recomputes every open table's write-sharing bit from its
+  // entries and compares with the bit the table keeps. True when all agree.
   bool OpenStateSharingConsistent() const;
 
  private:
-  // One client's open handles on one file. Kept in a flat vector sorted by
-  // client id: a file is rarely open on more than a couple of clients, so a
-  // sorted vector beats a std::map node per client, and ascending order
-  // preserves the deterministic callback order the old map gave the
-  // consistency engine (DisableCaching/EnableCaching/RecallToken fire in
-  // client-id order).
-  struct OpenEntry {
-    ClientId client = 0;
-    int readers = 0;
-    int writers = 0;
-  };
-
   struct OpenState {
-    std::vector<OpenEntry> opens;  // sorted by OpenEntry::client
+    OpenTable opens;
     bool cacheable = true;
-    // Cached result of ComputeWriteShared(opens); kept current by
-    // UpdateWriteShared at every opens mutation so the hot consistency
-    // checks need not rescan the table.
-    bool write_shared = false;
   };
 
-  // Find-or-insert keeping `opens` sorted by client id.
-  static OpenEntry& OpenFor(OpenState& state, ClientId client);
-
-  // One file's shadow (standby role): mirrored opens (sorted by client id,
-  // like OpenState::opens), the mirrored last writer, and the primary-cache
-  // dirty extents by block index (sorted).
-  struct ShadowOpenEntry {
-    ClientId client = 0;
-    int readers = 0;
-    int writers = 0;
-  };
+  // One file's shadow (standby role): mirrored opens, the mirrored last
+  // writer, and the primary-cache dirty extents by block index (sorted).
   struct ShadowFile {
-    std::vector<ShadowOpenEntry> opens;       // sorted by client
+    OpenTable opens;
     std::optional<ClientId> last_writer;
     // (block, extent), sorted. A deque because the primary writes and cleans
     // a file's blocks in ascending order: inserts land at the back and
@@ -385,21 +403,20 @@ class Server {
   // one file's metadata returning it; both through SetExtent.
   void PutMeta(FileId file, const FileMeta& meta);
   FileMeta TakeMeta(std::unordered_map<FileId, FileMeta>::iterator it);
-  // True if `state` is in concurrent write-sharing (open on more than one
-  // client with at least one writer). Reads the cached bit.
-  static bool IsWriteShared(const OpenState& state) { return state.write_shared; }
-  // Recomputes write-sharing from the opens table (the cached bit's source
-  // of truth).
-  static bool ComputeWriteShared(const OpenState& state);
-  static void UpdateWriteShared(OpenState& state) {
-    state.write_shared = ComputeWriteShared(state);
-  }
   // Applies the policy-specific conflict handling after `client` registered
   // an open (or recovery reopen) of `file`: cache disabling or token
   // recalls. `count` distinguishes real opens (Table 10 counters) from
   // recovery reopens (not new opens). `reply` may be null.
   void EnforceSharing(FileId file, OpenState& state, ClientId client, bool writer_open,
                       bool count, SimTime now, OpenReply* reply);
+  // After opens left `state` (a close or a client crash): once the sharing
+  // that disabled caching is over, caching is re-enabled for the clients
+  // still holding the file open.
+  void ReenableCaching(FileId file, OpenState& state, SimTime now);
+  // Merges `opens` (a shadow's or a migration image's) into the file's open
+  // state, firing no callbacks: the old home already enforced sharing on
+  // the clients. Null when `opens` is empty.
+  OpenState* AdoptOpens(FileId file, const OpenTable& opens);
   CacheControl* ControlFor(ClientId client) const;
   // If a client other than `caller` may hold dirty data for `file`, tell it
   // to discard (the contents were destroyed).
