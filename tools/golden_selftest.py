@@ -6,12 +6,15 @@ tells it to. A correct row must pass; each broken variant (a moved expected
 byte, a missing needle, a forbidden pattern, a rerun that differs, a failed
 trace check, a differing off-mode run, a non-zero exit, a row that checks
 nothing) must fail with the matching message. A runner that passes every row
-fails this test.
+fails this test. The streaming trace reader must also read numbers that its
+buffer splits at any position.
 
 Usage: golden_selftest.py   (writes under ./golden_selftest/)
 """
 
 import dataclasses
+import io
+import json
 import os
 import sys
 
@@ -54,6 +57,24 @@ if "--trace-out" in files:
     open(files["--trace-out"], "w").write(text[:-1] if "--bad-json" in files else text)
 sys.exit(code)
 """
+
+
+def stream_errors():
+    """Reads a JSON array through golden.JsonStream at every chunk size, so
+    every value, fractional and exponent numbers included, is split at every
+    position; each read must equal json.loads."""
+    doc = '[1.5, -2.25e+3, 10, 3E-2, 7e5, {"dur": 0.125, "ts": [1e-5, -0.5]}, "x.y"]'
+    want = json.loads(doc)
+    for chunk in range(1, len(doc) + 1):
+        stream = golden.JsonStream(io.StringIO(doc))
+        stream.CHUNK = chunk
+        try:
+            got = list(stream.sequence("[", "]", stream.value))
+        except json.JSONDecodeError as e:
+            got = e
+        if got != want or stream.peek():
+            return [f"JsonStream with {chunk}-char chunks read {got}"]
+    return []
 
 
 def main():
@@ -117,7 +138,7 @@ def main():
         ("row checks nothing", Row("empty", ["--out", "x"]), "checks nothing"),
     ]
 
-    errors = []
+    errors = stream_errors()
     for row in (good, good_off_forbid):
         fails = golden.run_row(fake, row)
         if fails:
@@ -128,7 +149,8 @@ def main():
             errors.append(f"{label}: want a failure containing {message!r}, got {fails}")
     for error in errors:
         print("golden_selftest: " + error, file=sys.stderr)
-    print(f"golden_selftest: {2 + len(broken) - len(errors)}/{2 + len(broken)} cases OK")
+    cases = 3 + len(broken)
+    print(f"golden_selftest: {cases - len(errors)}/{cases} cases OK")
     return 1 if errors else 0
 
 
