@@ -131,7 +131,8 @@ size_t HeapInUseBytes() {
 
 // One million spans into a fresh tracer, cycling through 0, 2 and 6 args
 // (a phase span, a small event, a full RPC parent span). bytes_per_span is
-// the heap the store holds per span just before the tracer is destroyed.
+// the heap the tracer holds per emitted span just before it is destroyed:
+// its fixed ring spread over the million spans.
 void BM_SpanEmit(benchmark::State& state) {
   constexpr int64_t kSpans = 1'000'000;
   double bytes_per_span = 0.0;

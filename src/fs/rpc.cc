@@ -325,17 +325,11 @@ RpcTransport::PairWire& RpcTransport::PairState(ClientId client, ServerId server
   return row[server];
 }
 
-void RpcTransport::Phase(ClientId client, const char* name, SimTime start, SimDuration duration) {
+void RpcTransport::Phase(const char* name, SimTime start, SimDuration duration) {
   if (obs_ == nullptr || !obs_->tracing_enabled()) {
     return;
   }
-  Span s;
-  s.name = name;
-  s.category = "rpc.phase";
-  s.track = ClientTrack(client);
-  s.start = start;
-  s.duration = duration;
-  span_scratch_.push_back(s);
+  phase_scratch_.push_back(PhaseSpan{name, start, duration});
 }
 
 RpcStat RpcTransport::Reach(RpcKind kind, ClientId client, ServerId server, SimTime now) {
@@ -348,13 +342,13 @@ RpcStat RpcTransport::Reach(RpcKind kind, ClientId client, ServerId server, SimT
     SimTime recovery = 0;
     int tries = 0;
     while (Unreachable(server, client, t, &recovery)) {
-      Phase(client, "timeout", t, config_.timeout);
+      Phase("timeout", t, config_.timeout);
       cost.wait_time += config_.timeout;
       t += config_.timeout;
       ++cost.timeouts;
       if (tries < config_.max_retries) {
         const SimDuration backoff = JitteredBackoffForAttempt(config_, client, tries);
-        Phase(client, "backoff", t, backoff);
+        Phase("backoff", t, backoff);
         cost.wait_time += backoff;
         t += backoff;
         ++cost.retries;
@@ -362,7 +356,7 @@ RpcStat RpcTransport::Reach(RpcKind kind, ClientId client, ServerId server, SimT
       } else {
         // Retry budget spent: wait out the outage, as Sprite clients do.
         if (recovery > t) {
-          Phase(client, "blocked-wait", t, recovery - t);
+          Phase("blocked-wait", t, recovery - t);
           cost.wait_time += recovery - t;
           t = recovery;
         }
@@ -384,7 +378,7 @@ RpcStat RpcTransport::Reach(RpcKind kind, ClientId client, ServerId server, SimT
     t += storm;
     const SimTime grace = GraceUntil(server, t);
     if (grace > t) {
-      Phase(client, "grace-wait", t, grace - t);
+      Phase("grace-wait", t, grace - t);
       cost.wait_time += grace - t;
       t = grace;
       ++cost.blocked_waits;
@@ -541,7 +535,7 @@ SimDuration RpcTransport::Call(RpcKind kind, ClientId client, ServerId server,
   // the pooled scratch vector from `phase_base` on; nested Calls (reopen
   // storms) stack their own suffixes on top and truncate them before this
   // frame emits.
-  const size_t phase_base = span_scratch_.size();
+  const size_t phase_base = phase_scratch_.size();
 
   RpcStat cost = Reach(kind, client, server, now);
   cost.calls = 1;
@@ -550,7 +544,7 @@ SimDuration RpcTransport::Call(RpcKind kind, ClientId client, ServerId server,
   const SimTime wire_start = now + cost.wait_time + plan.flush_wait;
   if (plan.exchange && network_ != nullptr) {
     cost.net_time = Wire(kind, client, server, plan.bytes, wire_start);
-    Phase(client, "wire", wire_start, cost.net_time);
+    Phase("wire", wire_start, cost.net_time);
     if (plan.pair != nullptr) {
       plan.pair->has_exchange = true;
       plan.pair->last_exchange_end = wire_start + cost.net_time;
@@ -574,11 +568,11 @@ SimDuration RpcTransport::Call(RpcKind kind, ClientId client, ServerId server,
                          {"timeouts", cost.timeouts},
                          {"net_us", cost.net_time},
                          {"wait_us", cost.wait_time}});
-    for (size_t i = phase_base; i < span_scratch_.size(); ++i) {
-      const Span& s = span_scratch_[i];
-      obs_->tracer().Emit(s.name, s.category, s.track, s.start, s.duration);
+    for (size_t i = phase_base; i < phase_scratch_.size(); ++i) {
+      const PhaseSpan& p = phase_scratch_[i];
+      obs_->tracer().Emit(p.name, "rpc.phase", ClientTrack(client), p.start, p.duration);
     }
-    span_scratch_.resize(phase_base);
+    phase_scratch_.resize(phase_base);
   }
   Account(kind, client, server, cost, total);
   return total;

@@ -291,7 +291,7 @@ class RpcTransport {
   // and returns the latency the triggering caller absorbs (0 if empty).
   SimDuration FlushBatch(ClientId client, ServerId server, SimTime now);
   // Queues a sub-phase span of the current Call (tracing only).
-  void Phase(ClientId client, const char* name, SimTime start, SimDuration duration);
+  void Phase(const char* name, SimTime start, SimDuration duration);
 
   std::unique_ptr<Network> network_;
   RpcConfig config_;
@@ -332,12 +332,19 @@ class RpcTransport {
   // Per-server link-queueing recorders ("net.link.N.queued_us"), registered
   // only when the network runs contended (and SetExpectedServers was set).
   std::vector<LatencyRecorder*> link_rec_;
+  // A sub-phase span of one Call: its category is "rpc.phase" and its track
+  // the calling client's, so only these vary.
+  struct PhaseSpan {
+    const char* name;
+    SimTime start;
+    SimDuration duration;
+  };
   // Scratch for the sub-phase spans Call() gathers while tracing, reused
   // across calls instead of reallocated. Call() can recurse (SyncEpoch runs
   // the reopen storm, whose kReopen calls re-enter Call), so each
   // invocation works on the suffix starting at its recorded base index and
   // truncates back to it after emitting.
-  std::vector<Span> span_scratch_;
+  std::vector<PhaseSpan> phase_scratch_;
 };
 
 // Client-side stub for one (client, server) pair: mirrors the Server API but

@@ -30,9 +30,39 @@ void AppendEscaped(std::string& out, std::string_view s) {
   }
 }
 
+// The one span encoder: appends `span` as a Chrome "X" (complete) event.
+void AppendSpanEvent(std::string& e, const Span& span) {
+  char buf[128];
+  e += "{\"ph\":\"X\",\"name\":\"";
+  AppendEscaped(e, span.name);
+  e += "\",\"cat\":\"";
+  AppendEscaped(e, span.category);
+  std::snprintf(buf, sizeof(buf), "\",\"pid\":%d,\"tid\":%d,\"ts\":%lld,\"dur\":%lld",
+                span.track.pid, span.track.tid, static_cast<long long>(span.start),
+                static_cast<long long>(span.duration));
+  e += buf;
+  if (span.num_args > 0) {
+    e += ",\"args\":{";
+    for (int i = 0; i < span.num_args; ++i) {
+      if (i > 0) {
+        e += ",";
+      }
+      e += "\"";
+      AppendEscaped(e, span.args[i].key);
+      e += "\":";
+      e += std::to_string(span.args[i].value);
+    }
+    e += "}";
+  }
+  e += "}";
+}
+
+// Event separator: every event but the first is preceded by one.
+constexpr std::string_view kSeparator = ",\n";
+
 void WriteEvent(std::ostream& out, bool& first, const std::string& event) {
   if (!first) {
-    out << ",\n";
+    out << kSeparator;
   }
   first = false;
   out << event;
@@ -62,50 +92,38 @@ int32_t CounterTrackPid(std::string_view name) {
   return kMetricsPid;
 }
 
-uint16_t SpanTracer::CategoryIndex(const char* category) {
-  size_t i = 0;
-  while (i < categories_.size() && categories_[i] != category) {
-    ++i;
-  }
-  if (i == categories_.size()) {
-    i = 0;
-    while (i < categories_.size() && std::string_view(categories_[i]) != category) {
-      ++i;
-    }
-  }
-  if (i == categories_.size()) {
-    if (i > UINT16_MAX) {
-      throw std::length_error("SpanTracer: too many distinct span categories");
-    }
-    categories_.push_back(category);
-  }
-  return static_cast<uint16_t>(i);
-}
-
 void SpanTracer::Emit(const char* name, const char* category, SpanTrack track, SimTime start,
                       SimDuration duration, std::initializer_list<Span::Arg> args) {
-  const size_t num_args = std::min<size_t>(args.size(), Span::kMaxArgs);
-  headers_.push_back(SpanHeader{name, start, duration, track,
-                                static_cast<uint32_t>(args_.size()), CategoryIndex(category),
-                                static_cast<uint16_t>(num_args)});
-  args_.insert(args_.end(), args.begin(), args.begin() + num_args);
+  if (ring_.empty()) {
+    ring_.resize(kCapacity);
+  }
+  Span& span = ring_[emitted_ & (kCapacity - 1)];
+  ++emitted_;
+  span.name = name;
+  span.category = category;
+  span.track = track;
+  span.start = start;
+  span.duration = duration;
+  span.num_args = static_cast<int>(std::min<size_t>(args.size(), Span::kMaxArgs));
+  std::copy_n(args.begin(), span.num_args, span.args);
+  if (sink_ != nullptr) {
+    sink_->Add(span);
+  }
 }
 
-Span SpanTracer::SpanAt(size_t i) const {
-  const SpanHeader& h = headers_[i];
-  Span span;
-  span.name = h.name;
-  span.category = categories_[h.category];
-  span.track = h.track;
-  span.start = h.start;
-  span.duration = h.duration;
-  span.num_args = h.num_args;
-  std::copy_n(args_.begin() + h.first_arg, h.num_args, span.args);
-  return span;
+void SpanTracer::WriteChromeTrace(std::ostream& out, const MetricsRegistry* metrics) const {
+  std::string e;
+  WriteTrace(out, metrics, [&](std::ostream& o, bool& first) {
+    for (const Span& span : spans()) {
+      e.clear();
+      AppendSpanEvent(e, span);
+      WriteEvent(o, first, e);
+    }
+  });
 }
 
-void SpanTracer::WriteChromeTrace(std::ostream& out,
-                                  const MetricsRegistry* metrics) const {
+void SpanTracer::WriteTrace(std::ostream& out, const MetricsRegistry* metrics,
+                            FunctionRef<void(std::ostream& out, bool& first)> write_spans) const {
   out << "{\"traceEvents\":[\n";
   bool first = true;
   char buf[256];
@@ -129,31 +147,7 @@ void SpanTracer::WriteChromeTrace(std::ostream& out,
     WriteEvent(out, first, e);
   }
 
-  for (const Span span : spans()) {
-    std::string e = "{\"ph\":\"X\",\"name\":\"";
-    AppendEscaped(e, span.name);
-    e += "\",\"cat\":\"";
-    AppendEscaped(e, span.category);
-    std::snprintf(buf, sizeof(buf), "\",\"pid\":%d,\"tid\":%d,\"ts\":%lld,\"dur\":%lld",
-                  span.track.pid, span.track.tid, static_cast<long long>(span.start),
-                  static_cast<long long>(span.duration));
-    e += buf;
-    if (span.num_args > 0) {
-      e += ",\"args\":{";
-      for (int i = 0; i < span.num_args; ++i) {
-        if (i > 0) {
-          e += ",";
-        }
-        e += "\"";
-        AppendEscaped(e, span.args[i].key);
-        e += "\":";
-        e += std::to_string(span.args[i].value);
-      }
-      e += "}";
-    }
-    e += "}";
-    WriteEvent(out, first, e);
-  }
+  write_spans(out, first);
 
   if (metrics != nullptr) {
     for (const MetricsSnapshot& snapshot : metrics->history()) {
@@ -180,6 +174,59 @@ void SpanTracer::WriteChromeTrace(std::ostream& out,
   }
 
   out << "\n],\"displayTimeUnit\":\"ms\"}\n";
+}
+
+ChromeTraceWriter::ChromeTraceWriter(SpanTracer& tracer)
+    : tracer_(tracer), file_(std::tmpfile()) {
+  if (file_ == nullptr) {
+    throw std::runtime_error("ChromeTraceWriter: cannot create a temporary file");
+  }
+  tracer_.SetSink(this);
+}
+
+ChromeTraceWriter::~ChromeTraceWriter() {
+  if (tracer_.sink() == this) {
+    tracer_.SetSink(nullptr);
+  }
+  std::fclose(file_);
+}
+
+void ChromeTraceWriter::Add(const Span& span) {
+  // Every event is stored with its separator; Finish drops the first one
+  // when no metadata event precedes the spans.
+  event_ = kSeparator;
+  AppendSpanEvent(event_, span);
+  std::fwrite(event_.data(), 1, event_.size(), file_);
+  bytes_ += event_.size();
+}
+
+void ChromeTraceWriter::Reset() {
+  std::rewind(file_);
+  bytes_ = 0;
+}
+
+void ChromeTraceWriter::Finish(std::ostream& out, const MetricsRegistry* metrics) {
+  if (std::fflush(file_) != 0 || std::ferror(file_)) {
+    throw std::runtime_error("ChromeTraceWriter: cannot write the temporary file");
+  }
+  std::rewind(file_);
+  tracer_.WriteTrace(out, metrics, [this](std::ostream& o, bool& first) {
+    char buf[1 << 16];
+    uint64_t left = bytes_;
+    size_t skip = first && left > 0 ? kSeparator.size() : 0;
+    while (left > 0) {
+      const size_t n = std::fread(buf, 1, std::min<uint64_t>(left, sizeof(buf)), file_);
+      if (n == 0) {
+        throw std::runtime_error("ChromeTraceWriter: cannot read the temporary file");
+      }
+      o.write(buf + skip, static_cast<std::streamsize>(n - skip));
+      left -= n;
+      skip = 0;
+    }
+    first = first && bytes_ == 0;
+  });
+  // Later spans append after the ones already written.
+  std::fseek(file_, static_cast<long>(bytes_), SEEK_SET);
 }
 
 }  // namespace sprite

@@ -7,9 +7,10 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/fs/cluster.h"
 #include "src/fs/counters.h"
@@ -17,6 +18,7 @@
 #include "src/fs/rpc.h"
 #include "src/obs/observability.h"
 #include "src/workload/generator.h"
+#include "tests/obs/span_collector.h"
 
 namespace sprite {
 namespace {
@@ -43,23 +45,23 @@ struct ObsRun {
   RpcLedger ledger;
   std::vector<MetricsSnapshot> history;
   MetricsSnapshot final_snapshot;
-  // The finished run, kept alive for its span store.
-  std::unique_ptr<Generator> generator;
-
-  // Valid only for runs with tracing on.
-  SpanTracer::SpanView spans() const {
-    return generator->cluster().observability()->tracer().spans();
-  }
+  // Every span of the run (empty with tracing off).
+  std::vector<Span> spans;
 };
 
 ObsRun RunObserved(bool metrics = true, bool tracing = true) {
   ObsRun run;
-  run.generator = std::make_unique<Generator>(QuickParams(), ObsCluster(metrics, tracing));
-  Generator& generator = *run.generator;
+  Generator generator(QuickParams(), ObsCluster(metrics, tracing));
+  Observability* obs = generator.cluster().observability();
+  SpanCollector collector;
+  if (obs != nullptr) {
+    obs->tracer().SetSink(&collector);
+  }
   run.trace = generator.Run(10 * kMinute, /*warmup=*/2 * kMinute);
   run.ledger = generator.cluster().rpc_ledger();
-  const Observability* obs = generator.cluster().observability();
   if (obs != nullptr) {
+    obs->tracer().SetSink(nullptr);
+    run.spans = std::move(collector.spans);
     run.history = obs->metrics().history();
     run.final_snapshot = obs->metrics().Snapshot(generator.queue().now());
   }
@@ -71,11 +73,9 @@ TEST(ObservabilityTest, SameSeedRunsProduceIdenticalStreams) {
   const ObsRun b = RunObserved();
   EXPECT_EQ(a.trace, b.trace);
   EXPECT_EQ(a.ledger, b.ledger);
-  const SpanTracer::SpanView spans_a = a.spans();
-  const SpanTracer::SpanView spans_b = b.spans();
-  ASSERT_EQ(spans_a.size(), spans_b.size());
-  for (size_t i = 0; i < spans_a.size(); ++i) {
-    ASSERT_TRUE(spans_a[i] == spans_b[i]) << "span " << i << " differs";
+  ASSERT_EQ(a.spans.size(), b.spans.size());
+  for (size_t i = 0; i < a.spans.size(); ++i) {
+    ASSERT_TRUE(a.spans[i] == b.spans[i]) << "span " << i << " differs";
   }
   EXPECT_EQ(a.history, b.history);
   EXPECT_EQ(a.final_snapshot.samples, b.final_snapshot.samples);
@@ -95,7 +95,7 @@ TEST(ObservabilityTest, InstrumentationDoesNotPerturbTheSimulation) {
 TEST(ObservabilityTest, RpcSpanCountsMatchLedgerCalls) {
   const ObsRun run = RunObserved();
   std::map<std::string, int64_t> span_calls;
-  for (const Span s : run.spans()) {
+  for (const Span& s : run.spans) {
     const std::string cat = s.category;
     if (cat == "rpc" || cat == "rpc.callback") {
       ++span_calls[s.name];
@@ -326,7 +326,7 @@ TEST(ObservabilityTest, ServerAndCacheSpansUseTheirOwnTracks) {
   const ObsRun run = RunObserved();
   bool saw_server_span = false;
   bool saw_cache_span = false;
-  for (const Span s : run.spans()) {
+  for (const Span& s : run.spans) {
     const std::string cat = s.category;
     if (cat == "server") {
       saw_server_span = true;
@@ -339,6 +339,23 @@ TEST(ObservabilityTest, ServerAndCacheSpansUseTheirOwnTracks) {
   }
   EXPECT_TRUE(saw_server_span);
   EXPECT_TRUE(saw_cache_span);
+}
+
+// A run short enough to fit in the tracer's ring exports the same bytes
+// from the ring as through the streaming writer.
+TEST(ObservabilityTest, StreamingWriterMatchesRingExportWhenTheRunFits) {
+  Generator generator(QuickParams(), ObsCluster(/*metrics=*/true, /*tracing=*/true));
+  const Observability* obs = generator.cluster().observability();
+  ChromeTraceWriter writer(generator.cluster().observability()->tracer());
+  generator.Run(2 * kMinute, /*warmup=*/kMinute);
+  ASSERT_GT(obs->tracer().emitted(), 1000u);
+  ASSERT_LE(obs->tracer().emitted(), SpanTracer::kCapacity);
+
+  std::ostringstream streamed;
+  writer.Finish(streamed, &obs->metrics());
+  std::ostringstream from_ring;
+  obs->tracer().WriteChromeTrace(from_ring, &obs->metrics());
+  EXPECT_EQ(streamed.str(), from_ring.str());
 }
 
 // FNV-1a 64 over the bytes of `s`.
@@ -354,7 +371,7 @@ uint64_t Fnv1a64(const std::string& s) {
 // Pins the full Chrome-trace export of a run with every observed subsystem
 // on: async transport, batching, replication with a fail-over, rebalancing
 // with a forced drain, metrics, critical path, and the hot-spot detector.
-// The span store and the writer must reproduce these bytes exactly; any
+// The streaming writer must reproduce these bytes exactly; any
 // change to the spans emitted, their order, their args, or the metrics
 // history shows up here.
 TEST(ObservabilityTest, ChromeTraceExportMatchesGolden) {
@@ -367,6 +384,7 @@ TEST(ObservabilityTest, ChromeTraceExportMatchesGolden) {
   config.observability.critical_path = true;
   Generator generator(HeavyParams(), config);
   Cluster& cluster = generator.cluster();
+  ChromeTraceWriter writer(cluster.observability()->tracer());
   generator.queue().Schedule(4 * kMinute, [&cluster] { cluster.CrashServer(1, 30 * kSecond); });
   generator.queue().Schedule(6 * kMinute, [&generator] {
     generator.cluster().MigrateOffServer(2, generator.queue().now());
@@ -378,10 +396,10 @@ TEST(ObservabilityTest, ChromeTraceExportMatchesGolden) {
   EXPECT_EQ(cluster.failovers(), 1);
   ASSERT_NE(cluster.rebalancer(), nullptr);
   EXPECT_GT(cluster.rebalancer()->migrations(), 0);
-  EXPECT_GT(obs->tracer().spans().size(), 10000u);
+  EXPECT_GT(obs->tracer().emitted(), 10000u);
 
   std::ostringstream out;
-  obs->tracer().WriteChromeTrace(out, &obs->metrics());
+  writer.Finish(out, &obs->metrics());
   const std::string json = out.str();
   EXPECT_EQ(Fnv1a64(json), 0xa8d83ebc0152688aull)
       << std::hex << Fnv1a64(json) << std::dec << " over " << json.size() << " bytes";

@@ -19,6 +19,7 @@
 #include "src/sim/event_queue.h"
 #include "src/util/rng.h"
 #include "src/workload/generator.h"
+#include "tests/obs/span_collector.h"
 
 namespace sprite {
 namespace {
@@ -271,12 +272,18 @@ ClusterConfig AsyncCluster(bool metrics, bool tracing) {
 TEST(RpcAsyncClusterTest, SameSeedAsyncRunsAreIdentical) {
   Generator a(QuickParams(), AsyncCluster(/*metrics=*/true, /*tracing=*/true));
   Generator b(QuickParams(), AsyncCluster(/*metrics=*/true, /*tracing=*/true));
+  SpanCollector collect_a;
+  SpanCollector collect_b;
+  a.cluster().observability()->tracer().SetSink(&collect_a);
+  b.cluster().observability()->tracer().SetSink(&collect_b);
   const TraceLog trace_a = a.Run(10 * kMinute, /*warmup=*/2 * kMinute);
   const TraceLog trace_b = b.Run(10 * kMinute, /*warmup=*/2 * kMinute);
+  a.cluster().observability()->tracer().SetSink(nullptr);
+  b.cluster().observability()->tracer().SetSink(nullptr);
   EXPECT_EQ(trace_a, trace_b);
   EXPECT_EQ(a.cluster().rpc_ledger(), b.cluster().rpc_ledger());
-  const SpanTracer::SpanView spans_a = a.cluster().observability()->tracer().spans();
-  const SpanTracer::SpanView spans_b = b.cluster().observability()->tracer().spans();
+  const std::vector<Span>& spans_a = collect_a.spans;
+  const std::vector<Span>& spans_b = collect_b.spans;
   ASSERT_EQ(spans_a.size(), spans_b.size());
   for (size_t i = 0; i < spans_a.size(); ++i) {
     ASSERT_TRUE(spans_a[i] == spans_b[i]) << "span " << i << " differs";
@@ -286,7 +293,10 @@ TEST(RpcAsyncClusterTest, SameSeedAsyncRunsAreIdentical) {
 TEST(RpcAsyncClusterTest, ObservabilityDoesNotPerturbAsyncRuns) {
   Generator observed(QuickParams(), AsyncCluster(/*metrics=*/true, /*tracing=*/true));
   Generator bare(QuickParams(), AsyncCluster(/*metrics=*/false, /*tracing=*/false));
+  SpanCollector collector;
+  observed.cluster().observability()->tracer().SetSink(&collector);
   const TraceLog observed_trace = observed.Run(10 * kMinute, /*warmup=*/2 * kMinute);
+  observed.cluster().observability()->tracer().SetSink(nullptr);
   const TraceLog bare_trace = bare.Run(10 * kMinute, /*warmup=*/2 * kMinute);
   EXPECT_EQ(bare.cluster().observability(), nullptr);
   EXPECT_EQ(observed_trace, bare_trace);
@@ -305,7 +315,7 @@ TEST(RpcAsyncClusterTest, ObservabilityDoesNotPerturbAsyncRuns) {
   ASSERT_NE(rec, nullptr);
   EXPECT_GT(rec->count(), 0);
   bool saw_queued_span = false;
-  for (const Span s : observed.cluster().observability()->tracer().spans()) {
+  for (const Span& s : collector.spans) {
     // string_view: literal addresses differ across translation units when
     // the build does not merge string constants (e.g. sanitizers).
     if (std::string_view(s.name) == "rpc.queued") {

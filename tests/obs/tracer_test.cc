@@ -4,8 +4,10 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/obs/metrics.h"
+#include "tests/obs/span_collector.h"
 
 namespace sprite {
 namespace {
@@ -61,7 +63,7 @@ TEST(SpanTracerTest, ViewReturnsEachSpanWithItsOwnArgs) {
   const SpanTracer::SpanView spans = tracer.spans();
   ASSERT_EQ(spans.size(), 1000u);
   size_t i = 0;
-  for (const Span s : spans) {
+  for (const Span& s : spans) {
     EXPECT_TRUE(s == spans[i]) << "span " << i;
     EXPECT_EQ(s.start, static_cast<SimTime>(i));
     switch (i % 3) {
@@ -201,6 +203,166 @@ TEST(SpanTracerTest, SpanEqualityComparesContentNotPointers) {
   a.Emit(name1.c_str(), "rpc", ClientTrack(0), 10, 20);
   b.Emit(name2.c_str(), "rpc", ClientTrack(0), 10, 20);
   EXPECT_TRUE(a.spans()[0] == b.spans()[0]);
+}
+
+constexpr uint64_t kCap = SpanTracer::kCapacity;
+
+TEST(SpanTracerTest, RingKeepsTheLastCapacitySpansInOrder) {
+  SpanTracer tracer;
+  for (uint64_t i = 0; i < 4 * kCap; ++i) {
+    const int64_t v = static_cast<int64_t>(i);
+    tracer.Emit(i % 2 == 0 ? "even" : "odd", "c", ClientTrack(0), v, 1,
+                {{"i", v}, {"n", static_cast<int64_t>(i % 7)}});
+  }
+  EXPECT_EQ(tracer.emitted(), 4 * kCap);
+  const SpanTracer::SpanView spans = tracer.spans();
+  ASSERT_EQ(spans.size(), kCap);
+  uint64_t want = 3 * kCap;
+  for (const Span& s : spans) {
+    ASSERT_EQ(s.start, static_cast<SimTime>(want));
+    ASSERT_STREQ(s.name, want % 2 == 0 ? "even" : "odd");
+    ASSERT_EQ(s.num_args, 2);
+    ASSERT_EQ(s.args[0].value, static_cast<int64_t>(want));
+    ++want;
+  }
+  EXPECT_EQ(want, 4 * kCap);
+  EXPECT_EQ(spans[0].start, static_cast<SimTime>(3 * kCap));
+  EXPECT_EQ(spans[kCap - 1].start, static_cast<SimTime>(4 * kCap - 1));
+}
+
+TEST(SpanTracerTest, SinkReceivesEverySpanPastTheRing) {
+  SpanTracer tracer;
+  SpanCollector sink;
+  tracer.SetSink(&sink);
+  for (uint64_t i = 0; i < 2 * kCap + 5; ++i) {
+    tracer.Emit("x", "c", ServerTrack(1), static_cast<SimTime>(i), 0);
+  }
+  ASSERT_EQ(sink.spans.size(), 2 * kCap + 5);
+  for (size_t i = 0; i < sink.spans.size(); ++i) {
+    ASSERT_EQ(sink.spans[i].start, static_cast<SimTime>(i));
+  }
+}
+
+TEST(SpanTracerTest, ResetMidStreamDropsTheRingAndTheSinksSpans) {
+  SpanTracer tracer;
+  SpanCollector sink;
+  tracer.SetSink(&sink);
+  for (uint64_t i = 0; i < kCap + 100; ++i) {
+    tracer.Emit("warmup", "c", ClientTrack(0), static_cast<SimTime>(i), 0);
+  }
+  tracer.Reset();
+  EXPECT_EQ(tracer.emitted(), 0u);
+  EXPECT_TRUE(tracer.spans().empty());
+  EXPECT_TRUE(sink.spans.empty());
+  for (SimTime t = 0; t < 10; ++t) {
+    tracer.Emit("measured", "c", ClientTrack(0), t, 0);
+  }
+  EXPECT_EQ(tracer.emitted(), 10u);
+  ASSERT_EQ(tracer.spans().size(), 10u);
+  ASSERT_EQ(sink.spans.size(), 10u);
+  for (size_t i = 0; i < 10; ++i) {
+    EXPECT_STREQ(tracer.spans()[i].name, "measured");
+    EXPECT_EQ(tracer.spans()[i].start, static_cast<SimTime>(i));
+    EXPECT_TRUE(sink.spans[i] == tracer.spans()[i]);
+  }
+}
+
+// Emits a few spans of every shape, with track names added mid-stream.
+void EmitSample(SpanTracer& tracer) {
+  tracer.Emit("open", "rpc", ClientTrack(0), 100, 50, {{"server", 2}, {"bytes", 128}});
+  tracer.SetProcessName(ServerTrack(3).pid, "server 3");
+  tracer.Emit("we\"ird", "rpc", ServerTrack(3), 200, 7000);
+  tracer.SetThreadName(ClientTrack(0), "main");
+  tracer.Emit("full", "c", ClientTrack(0), 300, 1,
+              {{"a", 1}, {"b", -2}, {"c", 3}, {"d", 4}, {"e", 5}, {"f", 6}});
+}
+
+TEST(ChromeTraceWriterTest, FinishEqualsWriteChromeTrace) {
+  MetricsRegistry metrics;
+  metrics.AddCounter("rpc.calls")->Add(3);
+  metrics.RecordSnapshot(1000);
+  SpanTracer tracer;
+  tracer.SetProcessName(ClientTrack(0).pid, "client 0");
+  ChromeTraceWriter writer(tracer);
+  EmitSample(tracer);
+  std::ostringstream streamed;
+  writer.Finish(streamed, &metrics);
+  std::ostringstream from_ring;
+  tracer.WriteChromeTrace(from_ring, &metrics);
+  EXPECT_EQ(streamed.str(), from_ring.str());
+  EXPECT_NE(streamed.str().find("\"name\":\"server 3\""), std::string::npos);
+}
+
+TEST(ChromeTraceWriterTest, FinishEqualsWriteChromeTraceWithoutMetadata) {
+  // No track names and no metrics: the first span event opens the array.
+  SpanTracer tracer;
+  ChromeTraceWriter writer(tracer);
+  tracer.Emit("a", "c", ClientTrack(0), 1, 2);
+  tracer.Emit("b", "c", ClientTrack(0), 3, 4);
+  std::ostringstream streamed;
+  writer.Finish(streamed);
+  std::ostringstream from_ring;
+  tracer.WriteChromeTrace(from_ring);
+  EXPECT_EQ(streamed.str(), from_ring.str());
+  EXPECT_EQ(streamed.str().rfind("{\"traceEvents\":[\n{\"ph\":\"X\"", 0), 0u);
+}
+
+TEST(ChromeTraceWriterTest, EmptyWriterEqualsEmptyExport) {
+  SpanTracer tracer;
+  ChromeTraceWriter writer(tracer);
+  std::ostringstream streamed;
+  writer.Finish(streamed);
+  std::ostringstream from_ring;
+  tracer.WriteChromeTrace(from_ring);
+  EXPECT_EQ(streamed.str(), from_ring.str());
+}
+
+TEST(ChromeTraceWriterTest, ResetDropsSpansBeforeTheCut) {
+  SpanTracer tracer;
+  tracer.SetProcessName(ClientTrack(0).pid, "client 0");
+  ChromeTraceWriter writer(tracer);
+  for (uint64_t i = 0; i < kCap + 1; ++i) {
+    tracer.Emit("warmup-span", "c", ClientTrack(0), static_cast<SimTime>(i), 0,
+                {{"i", static_cast<int64_t>(i)}});
+  }
+  tracer.Reset();
+  EmitSample(tracer);
+  std::ostringstream streamed;
+  writer.Finish(streamed);
+  EXPECT_EQ(streamed.str().find("warmup-span"), std::string::npos);
+  std::ostringstream from_ring;
+  tracer.WriteChromeTrace(from_ring);
+  EXPECT_EQ(streamed.str(), from_ring.str());
+}
+
+TEST(ChromeTraceWriterTest, StreamsEverySpanPastTheRing) {
+  SpanTracer tracer;
+  ChromeTraceWriter writer(tracer);
+  for (uint64_t i = 0; i < 3 * kCap; ++i) {
+    tracer.Emit("x", "c", ClientTrack(0), static_cast<SimTime>(i), 1);
+  }
+  std::ostringstream out;
+  writer.Finish(out);
+  const std::string json = out.str();
+  size_t events = 0;
+  for (size_t at = json.find("\"ph\":\"X\""); at != std::string::npos;
+       at = json.find("\"ph\":\"X\"", at + 1)) {
+    ++events;
+  }
+  EXPECT_EQ(events, 3 * kCap);
+  EXPECT_NE(json.find("\"ts\":0,"), std::string::npos);  // the first span, long evicted
+  EXPECT_NE(json.find("\"ts\":" + std::to_string(3 * kCap - 1) + ","), std::string::npos);
+}
+
+TEST(ChromeTraceWriterTest, DetachesOnDestruction) {
+  SpanTracer tracer;
+  {
+    ChromeTraceWriter writer(tracer);
+    EXPECT_EQ(tracer.sink(), &writer);
+  }
+  EXPECT_EQ(tracer.sink(), nullptr);
+  tracer.Emit("after", "c", ClientTrack(0), 0, 0);  // no sink to reach
+  EXPECT_EQ(tracer.emitted(), 1u);
 }
 
 }  // namespace

@@ -20,8 +20,9 @@ Usage: golden.py SPRITE_ANALYZE ROW   runs one row; exits 1 on any failure
        golden.py                      prints the row names, one per line
 
 A row writes only under <dir of SPRITE_ANALYZE>/golden/<row>/, so rows run
-independently under `ctest -j`. CMake registers one `golden.<row>` case per
-row (tools/CMakeLists.txt).
+independently under `ctest -j`; a passing row deletes that directory, a
+failing one keeps it for inspection. CMake registers one `golden.<row>` case
+per row (tools/CMakeLists.txt).
 """
 
 import dataclasses
@@ -30,6 +31,7 @@ import fnmatch
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -66,12 +68,14 @@ WIRE_KINDS = ["open", "close", "read-block", "write-block", "uncached-read", "un
 ROWS = [
     # 10 users crowded onto 2 clients keep memory under enough pressure that
     # even the rare paging RPCs (page-out = dirty VM eviction) occur.
+    # Its 540,427 spans are far beyond the tracer's 2^15-span ring, so
+    # "complete" shows the streamed export kept every one.
     Row("metrics",
         ["--simulate", "--users", "10", "--clients", "2", "--servers", "2", "--minutes", "30",
          "--warmup", "5", "--heavy", "--metrics", "--metrics-interval", "60", "--trace-out", TRACE],
         need={"stdout": ["# sprite-metrics v2", "window seq=0", "gauge sim.queue.dispatched",
                          "counter cache.miss_fills", "latency rpc.read-block.latency_us"]},
-        trace={"spans": WIRE_KINDS, "tracks": {"rpc.calls": None}}),
+        trace={"spans": WIRE_KINDS, "tracks": {"rpc.calls": None}, "complete": True}),
     # One server crash plus an asymmetric partition. Stale handles surface as
     # lowercase prose, never as the enum's spelling.
     Row("recovery",
@@ -310,20 +314,27 @@ def trace_events(path):
         raise KeyError("traceEvents")
 
 
-def check_trace(path, spec):
-    """Checks a Chrome-trace JSON file against spec:
+WROTE = re.compile(rb"^wrote ([0-9]+) spans to ", re.M)
+
+
+def check_trace(out, spec):
+    """Checks a run's Chrome-trace JSON file against spec:
 
     spans     fnmatch patterns that must each name at least one complete ("X") span
     positive  span names whose spans must exist and all have dur > 0
     cat       span name -> the category all of its spans must carry
     tracks    counter ("C") track name -> the exact set of pids it lands on
               (None: any pid, the track only has to exist)
+    complete  True: the file's "X" event count must equal the N of the run's
+              "wrote N spans" stderr line (every span since the warmup cut)
     """
+    path = out["trace"]
     # Per span name: the shortest duration and the categories seen.
-    spans, tracks = {}, {}
+    spans, tracks, complete_events = {}, {}, 0
     try:
         for e in trace_events(path):
             if e.get("ph") == "X":
+                complete_events += 1
                 span = spans.setdefault(e["name"], [e["dur"], set()])
                 span[0] = min(span[0], e["dur"])
                 span[1].add(e.get("cat"))
@@ -341,6 +352,13 @@ def check_trace(path, spec):
     fails += [f"trace: counter track '{n}' on pids {sorted(tracks.get(n, []))}, want {pids}"
               for n, pids in spec.get("tracks", {}).items()
               if n not in tracks or (pids is not None and tracks[n] != pids)]
+    if spec.get("complete"):
+        wrote = WROTE.search(out["stderr"])
+        if wrote is None:
+            fails.append("trace: no 'wrote N spans' line on stderr")
+        elif int(wrote.group(1)) != complete_events:
+            fails.append(f"trace: {complete_events} \"X\" events, but stderr says wrote "
+                         f"{int(wrote.group(1))} spans")
     return fails
 
 
@@ -356,7 +374,7 @@ def run_row(binary, row):
         with open(os.path.join(BASELINES, row.expect), "rb") as f:
             fails += differ(f"stdout vs {row.expect}", f.read(), first["stdout"])
     if row.trace:
-        fails += check_trace(first["trace"], row.trace)
+        fails += check_trace(first, row.trace)
     if row.rerun:
         argv = list(row.argv)
         if TRACE in argv:
@@ -370,6 +388,8 @@ def run_row(binary, row):
         fails += scan(off, "off", None, row.off_forbid)
         if row.off_forbid is None:
             fails += differ("off-mode stdout", first["stdout"], off["stdout"])
+    if not fails:
+        shutil.rmtree(work)
     return fails
 
 

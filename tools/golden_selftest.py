@@ -5,8 +5,9 @@ Runs golden.run_row against a fake sprite_analyze that prints what its argv
 tells it to. A correct row must pass; each broken variant (a moved expected
 byte, a missing needle, a forbidden pattern, a rerun that differs, a failed
 trace check, a differing off-mode run, a non-zero exit, a row that checks
-nothing) must fail with the matching message. A runner that passes every row
-fails this test. The streaming trace reader must also read numbers that its
+nothing, a trace whose span count differs from the one on stderr) must fail
+with the matching message. A runner that passes every row fails this test. A
+passing row must delete its output directory and a failing one keep it. The streaming trace reader must also read numbers that its
 buffer splits at any position.
 
 Usage: golden_selftest.py   (writes under ./golden_selftest/)
@@ -91,7 +92,8 @@ def main():
         f.write("hello worle\n")
 
     good = Row("good",
-               ["--out", "hello world", "--err", "dispatched 7 events", "--metric", "gauge x.y",
+               ["--out", "hello world", "--err", "dispatched 7 events",
+                "--err", "wrote 2 spans to trace.json", "--metric", "gauge x.y",
                 "--span", "rpc.queued:5:rpc", "--span", "shadow-open:1:rpc",
                 "--track", "rpc.calls:9999", "--metrics-out", METRICS, "--trace-out", TRACE],
                expect=expected,
@@ -99,8 +101,10 @@ def main():
                      "metrics": ["gauge x.y"]},
                forbid={"stdout": ["MISMATCH", R("^world")], "metrics": [R(r"x\.z")]},
                trace={"spans": ["rpc.queued", "shadow-*"], "positive": ["rpc.queued"],
-                      "cat": {"rpc.queued": "rpc"}, "tracks": {"rpc.calls": {9999}}},
+                      "cat": {"rpc.queued": "rpc"}, "tracks": {"rpc.calls": {9999}},
+                      "complete": True},
                rerun=True, off=["--out", "hello world"])
+    assert good.argv[4:6] == ["--err", "wrote 2 spans to trace.json"]
     good_off_forbid = dataclasses.replace(good, off=["--out", "quiet"],
                                           off_forbid={"stdout": ["hello"]})
 
@@ -130,6 +134,11 @@ def main():
         ("counter track missing", variant(trace={"tracks": {"server.0.queue_depth": None}}),
          "counter track 'server.0.queue_depth'"),
         ("trace not JSON", variant(add=["--bad-json", "1"]), "JSONDecodeError"),
+        ("trace lost a span", variant(add=["--span", "extra:1:rpc"]),
+         'trace: 3 "X" events, but stderr says wrote 2 spans'),
+        ("span count not on stderr",
+         variant(argv=good.argv[:4] + good.argv[6:]),
+         "no 'wrote N spans' line"),
         ("off-mode differs", variant(off=["--out", "hello"]), "off-mode stdout differs"),
         ("off-mode forbidden", variant(good_off_forbid, off=["--out", "hello"]), "off: forbidden"),
         ("run exits non-zero", variant(add=["--exit", "3"]), "run: exited 3"),
@@ -139,14 +148,19 @@ def main():
     ]
 
     errors = stream_errors()
+    outputs = os.path.join(work, "golden", good.name)
     for row in (good, good_off_forbid):
         fails = golden.run_row(fake, row)
         if fails:
             errors.append(f"correct row failed: {fails}")
+        elif os.path.exists(outputs):
+            errors.append(f"correct row left its outputs in {outputs}")
     for label, row, message in broken:
         fails = golden.run_row(fake, row)
         if not any(message in fail for fail in fails):
             errors.append(f"{label}: want a failure containing {message!r}, got {fails}")
+        elif row.name == good.name and not os.path.isdir(outputs):
+            errors.append(f"{label}: failing row deleted its outputs")
     for error in errors:
         print("golden_selftest: " + error, file=sys.stderr)
     cases = 3 + len(broken)

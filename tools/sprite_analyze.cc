@@ -192,14 +192,18 @@ void PrintMetrics(const Observability& obs, SimTime now, FILE* sink) {
                FormatRpcLatencySummary(metrics).c_str());
 }
 
-bool WriteTraceJson(const Observability& obs, const std::string& path) {
+// Writes the whole trace `writer` streamed; its span count is every span
+// emitted since the warmup cut, not the tracer's retained window.
+bool WriteTraceJson(const Observability& obs, ChromeTraceWriter& writer,
+                    const std::string& path) {
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return false;
   }
-  obs.tracer().WriteChromeTrace(out, obs.metrics_enabled() ? &obs.metrics() : nullptr);
-  std::fprintf(stderr, "wrote %zu spans to %s\n", obs.tracer().spans().size(), path.c_str());
+  writer.Finish(out, obs.metrics_enabled() ? &obs.metrics() : nullptr);
+  std::fprintf(stderr, "wrote %llu spans to %s\n",
+               static_cast<unsigned long long>(obs.tracer().emitted()), path.c_str());
   return true;
 }
 
@@ -387,6 +391,9 @@ int main(int argc, char** argv) {
   std::unique_ptr<Generator> generator;
   std::unique_ptr<Observability> replay_obs;
   const Observability* obs = nullptr;
+  // Streams every span of a --trace-out run; attached before the first span
+  // and declared after its tracer's owners, so it is destroyed first.
+  std::unique_ptr<ChromeTraceWriter> trace_writer;
   SimTime end_time = 0;
 
   if (simulate) {
@@ -417,6 +424,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "simulating %d min (+%d warmup) for %d users on %d clients...\n",
                  minutes, warmup, users, clients);
     generator = std::make_unique<Generator>(params, cluster);
+    if (obs_config.tracing) {
+      trace_writer =
+          std::make_unique<ChromeTraceWriter>(generator->cluster().observability()->tracer());
+    }
     if (!fault_schedule.empty()) {
       try {
         ApplyFaultSchedule(generator->cluster(), fault_schedule);
@@ -618,6 +629,9 @@ int main(int argc, char** argv) {
     if (obs_config.enabled()) {
       replay_obs = std::make_unique<Observability>(obs_config);
       obs = replay_obs.get();
+      if (obs_config.tracing) {
+        trace_writer = std::make_unique<ChromeTraceWriter>(replay_obs->tracer());
+      }
       if (!trace.empty()) {
         end_time = trace.back().time;
       }
@@ -672,8 +686,8 @@ int main(int argc, char** argv) {
     std::fclose(metrics_file);
     std::fprintf(stderr, "wrote metric streams to %s\n", metrics_out.c_str());
   }
-  if (!trace_out.empty() && obs != nullptr) {
-    if (!WriteTraceJson(*obs, trace_out)) {
+  if (trace_writer != nullptr) {
+    if (!WriteTraceJson(*obs, *trace_writer, trace_out)) {
       return 1;
     }
   }
