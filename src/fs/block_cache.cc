@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
 
 namespace sprite {
 
@@ -61,6 +62,10 @@ uint32_t BlockCache::FindOrInsert(BlockKey key, SimTime now, WritebackRef writeb
     TouchLru(slot, now);
     return slot;
   }
+  if (key.index < std::numeric_limits<int32_t>::min() ||
+      key.index > std::numeric_limits<int32_t>::max()) {
+    throw std::out_of_range("BlockCache: block index does not fit 32 bits");
+  }
   while (block_count_ >= limit_blocks_ && lru_tail_ != kNoSlot) {
     EvictLruTail(now, CleanReason::kReplacement, ReplaceReason::kForFileBlock, writeback);
   }
@@ -71,7 +76,7 @@ uint32_t BlockCache::FindOrInsert(BlockKey key, SimTime now, WritebackRef writeb
   } else {
     free_head_ = slab_[slot].lru_next;
   }
-  slab_[slot] = Entry{.key = key, .last_ref = now};
+  slab_[slot] = Entry{.file = key.file, .last_ref = now, .index = static_cast<int32_t>(key.index)};
   LruPushFront(slot);
   ++block_count_;
 
@@ -133,7 +138,7 @@ bool BlockCache::Write(BlockKey key, SimTime now, int64_t end_in_block, Writebac
     }
   }
   entry.dirty_extent =
-      static_cast<int32_t>(std::clamp<int64_t>(end_in_block, entry.dirty_extent, kBlockSize));
+      static_cast<int16_t>(std::clamp<int64_t>(end_in_block, entry.dirty_extent, kBlockSize));
   return !inserted;
 }
 
@@ -162,7 +167,7 @@ void BlockCache::WalkDirtyBlocks(uint64_t file, Visit&& visit) {
 BlockCache::FileState* BlockCache::CleanBlock(FileState& fs, uint32_t slot, SimTime now,
                                               CleanReason reason, WritebackRef writeback) {
   const Entry& entry = slab_[slot];
-  const BlockKey key = entry.key;
+  const BlockKey key = entry.key();
   if (counters_ != nullptr) {
     const int r = static_cast<int>(reason);
     ++counters_->cleaned[r];
@@ -208,7 +213,7 @@ void BlockCache::FreeSlot(uint32_t slot) {
 void BlockCache::EvictLruTail(SimTime now, CleanReason reason, ReplaceReason replace_reason,
                               WritebackRef writeback) {
   uint32_t slot = lru_tail_;
-  const BlockKey key = slab_[slot].key;
+  const BlockKey key = slab_[slot].key();
   FileState* fs = files_.Find(key.file);
   if (slab_[slot].dirty) {
     fs = CleanBlock(*fs, slot, now, reason, writeback);
@@ -315,7 +320,7 @@ void BlockCache::ForEachDirtyBlock(uint64_t file,
   }
   for (uint32_t slot : Resident(*fs)) {
     if (slot != kNoSlot && slab_[slot].dirty) {
-      fn(slab_[slot].key.index, slab_[slot].dirty_extent);
+      fn(slab_[slot].index, slab_[slot].dirty_extent);
     }
   }
 }
@@ -396,7 +401,7 @@ std::pair<int64_t, int64_t> BlockCache::CrashReset(WritebackRef nvram_recovery) 
         return &fs;
       }
       recovered += entry.dirty_extent;
-      nvram_recovery(entry.key, entry.dirty_extent);
+      nvram_recovery(entry.key(), entry.dirty_extent);
       return files_.Find(file);
     });
     it = dirty_files_.upper_bound(file);

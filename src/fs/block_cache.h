@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <set>
 #include <span>
 #include <utility>
@@ -188,16 +189,25 @@ class BlockCache {
  private:
   static constexpr uint32_t kNoSlot = UINT32_MAX;
 
+  // One resident block: 40 bytes, against 48 with a whole BlockKey. The
+  // block index is narrowed to 32 bits (FindOrInsert rejects a wider one)
+  // and the dirty extent, at most kBlockSize, to 16.
   struct Entry {
-    BlockKey key;
+    uint64_t file = 0;
     SimTime last_ref = 0;
     SimTime dirty_since = 0;      // first write after last clean
-    int32_t dirty_extent = 0;     // bytes from block start covered by writeback
+    int32_t index = 0;            // block number within the file
     uint32_t lru_prev = kNoSlot;  // toward the LRU head (most recent)
     uint32_t lru_next = kNoSlot;  // toward the tail; the free-list link once freed
+    int16_t dirty_extent = 0;     // bytes from block start covered by writeback
     bool prefetched = false;      // inserted by readahead, not yet demanded
     bool dirty = false;
+
+    BlockKey key() const { return BlockKey{file, index}; }
   };
+  static_assert(sizeof(Entry) == 40, "keep a cache entry at 40 bytes");
+  static_assert(kBlockSize <= std::numeric_limits<int16_t>::max(),
+                "a dirty extent must fit an int16_t");
 
   // One per file: slots[i] is the slot of block base + i, or kNoSlot.
   // slots[0, first) are empty and slots[first] and slots.back() are
@@ -225,7 +235,9 @@ class BlockCache {
   static uint32_t SlotOf(const FileState& fs, int64_t index);
   uint32_t Find(BlockKey key) const;
   // Moves the block to the LRU head, inserting it (evicting first if at the
-  // limit) when absent. Returns its slot.
+  // limit) when absent. Returns its slot. Throws std::out_of_range, before
+  // changing anything, for an absent block whose index does not fit an
+  // int32_t.
   uint32_t FindOrInsert(BlockKey key, SimTime now, WritebackRef writeback, bool& inserted);
   void LruUnlink(uint32_t slot);
   void LruPushFront(uint32_t slot);

@@ -20,7 +20,7 @@ Client::Client(ClientId id, const ClientConfig& config, ServerRouter router, Tra
         c.max_blocks = std::min(c.max_blocks, config.memory_bytes / kBlockSize);
         return c;
       }(), &cache_counters_),
-      vm_(config.memory_bytes / kBlockSize, config.vm_preference_age,
+      vm_(config.vm_preference_age,
           static_cast<int64_t>(config.vm_floor_fraction *
                                static_cast<double>(config.memory_bytes / kBlockSize))),
       total_pages_(config.memory_bytes / kBlockSize) {}

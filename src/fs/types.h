@@ -14,7 +14,7 @@ using FileId = uint64_t;
 using HandleId = uint64_t;
 
 // Sprite divides each process's pages into four groups (Section 5.3).
-enum class PageKind {
+enum class PageKind : uint8_t {
   kCode = 0,          // read-only, paged from the executable file
   kInitData = 1,      // initialized data, copied from the file cache on first touch
   kModifiedData = 2,  // paged to/from backing files

@@ -4,65 +4,85 @@
 
 namespace sprite {
 
-Vm::Vm(int64_t total_pages, SimDuration preference_age, int64_t floor_pages)
-    : total_pages_(total_pages), preference_age_(preference_age), floor_pages_(floor_pages) {
-  for (int64_t i = 0; i < floor_pages; ++i) {
-    pages_.push_back(Page{PageKind::kCode, 0});
+Vm::Vm(SimDuration preference_age, int64_t floor_pages)
+    : preference_age_(preference_age), floor_pages_(floor_pages) {
+  CrashReset();
+}
+
+void Vm::AddPage(PageKind kind, SimTime now) {
+  kinds_.push_front(kind);
+  if (!runs_.empty() && runs_.front().last_ref == now) {
+    ++runs_.front().pages;
+  } else {
+    runs_.push_front(Run{now, 1});
   }
 }
 
-void Vm::AddPage(PageKind kind, SimTime now) { pages_.push_front(Page{kind, now}); }
-
 void Vm::TouchWorkingSet(SimTime now, int64_t count) {
-  const int64_t n = std::min<int64_t>(count, static_cast<int64_t>(pages_.size()));
-  for (int64_t i = 0; i < n; ++i) {
-    pages_[static_cast<size_t>(i)].last_ref = now;
+  const int64_t n = std::min(count, resident_pages());
+  if (n <= 0) {
+    return;
   }
+  // Drop the runs wholly inside the prefix and trim the one it ends in.
+  for (int64_t left = n; left > 0;) {
+    Run& run = runs_.front();
+    if (run.pages > left) {
+      run.pages -= left;
+      break;
+    }
+    left -= run.pages;
+    runs_.pop_front();
+  }
+  if (!runs_.empty() && runs_.front().last_ref == now) {
+    runs_.front().pages += n;
+  } else {
+    runs_.push_front(Run{now, n});
+  }
+}
+
+PageKind Vm::PopLru() {
+  const PageKind kind = kinds_.back();
+  kinds_.pop_back();
+  if (--runs_.back().pages == 0) {
+    runs_.pop_back();
+  }
+  return kind;
 }
 
 Vm::Evicted Vm::EvictLru() {
-  if (static_cast<int64_t>(pages_.size()) <= floor_pages_) {
+  if (AtFloor()) {
     return {};
   }
-  const Page page = pages_.back();
-  pages_.pop_back();
-  return Evicted{page.kind, true};
+  return Evicted{PopLru(), true};
 }
 
 SimDuration Vm::EvictableLruAge(SimTime now) const {
-  if (static_cast<int64_t>(pages_.size()) <= floor_pages_) {
-    return -1;
-  }
-  return now - pages_.back().last_ref;
+  return AtFloor() ? -1 : now - runs_.back().last_ref;
 }
 
 bool Vm::TryYieldIdlePage(SimTime now) {
-  if (static_cast<int64_t>(pages_.size()) <= floor_pages_) {
+  if (AtFloor() || now - runs_.back().last_ref < preference_age_) {
     return false;
   }
-  if (now - pages_.back().last_ref < preference_age_) {
-    return false;
-  }
-  pages_.pop_back();
+  PopLru();
   return true;
 }
 
 void Vm::CrashReset() {
-  pages_.clear();
-  for (int64_t i = 0; i < floor_pages_; ++i) {
-    pages_.push_back(Page{PageKind::kCode, 0});
+  kinds_.assign(static_cast<size_t>(floor_pages_), PageKind::kCode);
+  runs_.clear();
+  if (floor_pages_ > 0) {
+    runs_.push_back(Run{0, floor_pages_});
   }
 }
 
 int64_t Vm::EvictColdPages(int64_t count) {
   int64_t dirty = 0;
-  for (int64_t i = 0;
-       i < count && static_cast<int64_t>(pages_.size()) > floor_pages_; ++i) {
-    const Page& page = pages_.back();
-    if (page.kind == PageKind::kModifiedData || page.kind == PageKind::kStack) {
+  for (int64_t i = 0; i < count && !AtFloor(); ++i) {
+    const PageKind kind = PopLru();
+    if (kind == PageKind::kModifiedData || kind == PageKind::kStack) {
       ++dirty;
     }
-    pages_.pop_back();
   }
   return dirty;
 }

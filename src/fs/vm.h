@@ -11,6 +11,12 @@
 // pages each side holds over time (Table 4), the paging traffic generated by
 // faults (Tables 5-7), and the replacement pressure on the file cache
 // (Table 8).
+//
+// Layout: one byte of kind per page, and the reference times run-length
+// coded, both MRU first. Pages referenced at the same time share a run, so
+// the boot floor (about half of a workstation's memory) is one run, and a
+// working-set touch replaces the runs covering its prefix with one run in
+// amortized O(1), whatever the order of the times involved.
 
 #ifndef SPRITE_DFS_SRC_FS_VM_H_
 #define SPRITE_DFS_SRC_FS_VM_H_
@@ -26,14 +32,14 @@ namespace sprite {
 
 class Vm {
  public:
-  // `total_pages` is the machine's physical memory in pages; the VM pool and
-  // the file cache share it. `floor_pages` of memory are permanently
-  // occupied by long-lived processes (kernel daemons, the window system);
-  // they are resident from "boot" and are never yielded to the file cache.
-  Vm(int64_t total_pages, SimDuration preference_age, int64_t floor_pages = 0);
+  // `floor_pages` of memory are permanently occupied by long-lived
+  // processes (kernel daemons, the window system): that many clean code
+  // pages are resident from "boot", and the pool never shrinks below that
+  // count. The floor is a count, not a set of pinned pages: the boot pages
+  // start as the LRU and are evicted first once pages above them exist.
+  Vm(SimDuration preference_age, int64_t floor_pages = 0);
 
-  int64_t resident_pages() const { return static_cast<int64_t>(pages_.size()); }
-  int64_t total_pages() const { return total_pages_; }
+  int64_t resident_pages() const { return static_cast<int64_t>(kinds_.size()); }
 
   // Admits one page (a fault satisfied). The caller has already arranged a
   // free physical page.
@@ -42,13 +48,6 @@ class Vm {
   // Refreshes the last-reference time of the `count` most recently used
   // pages (a process touching its working set).
   void TouchWorkingSet(SimTime now, int64_t count);
-
-  // Marks the `count` most recently used pages as unreferenced-since-`now`
-  // minus nothing — i.e. they simply stop being touched. Process exit in
-  // Sprite keeps code pages resident ("Sprite keeps code pages in memory
-  // even after processes exit"), so exit is not an eviction; this method
-  // exists for documentation and is a no-op placeholder.
-  void ProcessExited() {}
 
   // Evicts this pool's own LRU page. Returns the kind of the evicted page
   // (dirty data/stack pages must be written to backing files by the caller)
@@ -77,17 +76,22 @@ class Vm {
   int64_t EvictColdPages(int64_t count);
 
  private:
-  struct Page {
-    PageKind kind;
+  // `pages` consecutive pages, all last referenced at `last_ref`.
+  struct Run {
     SimTime last_ref;
+    int64_t pages;
   };
 
-  int64_t total_pages_;
+  bool AtFloor() const { return resident_pages() <= floor_pages_; }
+  // Removes the LRU page; returns its kind.
+  PageKind PopLru();
+
   SimDuration preference_age_;
   int64_t floor_pages_ = 0;
-  // Front = most recently used. A deque suffices because TouchWorkingSet
-  // only refreshes a prefix and faults push to the front.
-  std::deque<Page> pages_;
+  // Front = most recently used. Deques suffice because faults push to the
+  // front, TouchWorkingSet only rewrites a prefix and evictions pop the back.
+  std::deque<PageKind> kinds_;
+  std::deque<Run> runs_;  // pages sum to kinds_.size()
 };
 
 }  // namespace sprite

@@ -8,6 +8,7 @@
 #include <list>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <type_traits>
@@ -93,6 +94,7 @@ TEST_F(BlockCacheTest, ExtentClampedToBlockSize) {
   BlockCache cache(SmallConfig(), &counters_);
   cache.set_limit_blocks(4);
   cache.Write({1, 0}, 10, 2 * kBlockSize, Sink());
+  EXPECT_EQ(cache.DirtyBytes(1), kBlockSize);  // a whole block fits the 16-bit extent
   cache.CleanFile(1, 30, CleanReason::kFsync, Sink());
   ASSERT_EQ(writebacks_.size(), 1u);
   EXPECT_EQ(writebacks_[0].second, kBlockSize);
@@ -313,6 +315,54 @@ TEST_F(BlockCacheTest, SequentialScanEvictsInAscendingOrder) {
   EXPECT_FALSE(cache.Contains({7, kVictims - 1}));
   EXPECT_TRUE(cache.Contains({7, kVictims}));
   EXPECT_TRUE(cache.Contains({7, kFileBlocks - 1}));
+}
+
+// An entry keeps its block index in 32 bits.
+constexpr int64_t kTopIndex = (int64_t{1} << 31) - 1;
+
+TEST_F(BlockCacheTest, IndexJustBelow2To31RoundTrips) {
+  BlockCache cache(SmallConfig(), &counters_);
+  cache.set_limit_blocks(4);
+  cache.Write({3, kTopIndex}, 10, 700, Sink());
+  cache.Write({3, kTopIndex - 1}, 10, 300, Sink());
+  std::vector<std::pair<int64_t, int64_t>> seen;
+  cache.ForEachDirtyBlock(3, [&](int64_t block, int64_t extent) {
+    seen.emplace_back(block, extent);
+  });
+  EXPECT_EQ(seen, (std::vector<std::pair<int64_t, int64_t>>{{kTopIndex - 1, 300},
+                                                             {kTopIndex, 700}}));
+  EXPECT_EQ(cache.CleanFile(3, 20, CleanReason::kFsync, Sink()), 1000);
+  ASSERT_EQ(writebacks_.size(), 2u);
+  EXPECT_EQ(writebacks_[0].first, (BlockKey{3, kTopIndex - 1}));
+  EXPECT_EQ(writebacks_[1].first, (BlockKey{3, kTopIndex}));
+  EXPECT_TRUE(cache.Lookup({3, kTopIndex}, 30));
+}
+
+TEST_F(BlockCacheTest, IndexAt2To31ThrowsAndLeavesCacheUnchanged) {
+  BlockCache cache(SmallConfig(), &counters_);
+  cache.set_limit_blocks(2);
+  cache.Write({1, 0}, 10, 100, Sink());
+  cache.InsertClean({1, 1}, 20, Sink());  // at the limit: an insert would evict
+  const BlockKey wide{2, kTopIndex + 1};
+  EXPECT_THROW(cache.InsertClean(wide, 30, Sink()), std::out_of_range);
+  EXPECT_THROW(cache.InsertPrefetched(wide, 30, Sink()), std::out_of_range);
+  EXPECT_THROW(cache.Write(wide, 30, 100, Sink()), std::out_of_range);
+  EXPECT_THROW(cache.Write({1, -kTopIndex - 2}, 30, 100, Sink()), std::out_of_range);
+  EXPECT_FALSE(cache.Lookup(wide, 30));
+  EXPECT_FALSE(cache.Contains(wide));
+  EXPECT_TRUE(writebacks_.empty());
+  EXPECT_EQ(counters_.replaced_for_file, 0);
+  EXPECT_EQ(counters_.prefetch_fetches, 0);
+  EXPECT_EQ(cache.block_count(), 2);
+  EXPECT_EQ(cache.LruAge(30), 20) << "the LRU block is still {1, 0}, referenced at 10";
+  EXPECT_TRUE(cache.IsDirty({1, 0}));
+  EXPECT_EQ(cache.DirtyFiles(), std::vector<uint64_t>{1});
+  EXPECT_FALSE(cache.HasDirtyBlocks(2));
+  EXPECT_EQ(cache.CachedVersion(2), 0u);
+  // The cache still works: the next insert evicts the real LRU block.
+  cache.InsertClean({1, 2}, 40, Sink());
+  ASSERT_EQ(writebacks_.size(), 1u);
+  EXPECT_EQ(writebacks_[0], (std::pair<BlockKey, int64_t>{{1, 0}, 100}));
 }
 
 // --- Differential test against a reference model ----------------------------

@@ -17,7 +17,9 @@ Subcommands:
       non-zero when the median over pairs of the change's growth in
       wall-clock ms per simulated hour (change / base - 1 within a pair)
       exceeds the threshold. tools/check.sh runs it with the merge-base
-      build as the base.
+      build as the base. Each scenario's median peak RSS is reported for
+      both sides too (not gated): every run is one scenario in a fresh
+      process, so its ru_maxrss is that scenario's own peak.
 
 The gate is on wall_ms_per_sim_hour (lower is better), the end-to-end
 cost of simulating a fixed window. Events/sec is reported but not gated:
@@ -113,6 +115,7 @@ def quartiles(values):
 def cmd_check(args):
     sides = {"base": args.base, "change": args.change}
     wall = {"base": {}, "change": {}}  # side -> scenario -> [ms per sim hour]
+    rss = {"base": {}, "change": {}}  # side -> scenario -> [peak RSS MB]
     # Pairing per scenario keeps the two runs of a pair seconds apart.
     benchmarks = list_benchmarks(args.base)
     for i in range(PAIRS):
@@ -122,6 +125,7 @@ def cmd_check(args):
                 for scenario, m in run_benchmarks(sides[side], args.min_time,
                                                   "^%s$" % bench).items():
                     wall[side].setdefault(scenario, []).append(m["wall_ms_per_sim_hour"])
+                    rss[side].setdefault(scenario, []).append(m["peak_rss_mb"])
         print("pair %d/%d done (%s first)" % (i + 1, PAIRS, order[0]), flush=True)
     failures = []
     for scenario in sorted(wall["base"]):
@@ -134,9 +138,11 @@ def cmd_check(args):
         wins = sum(c < b for b, c in zip(base, change))
         verdict = "OK" if growth <= args.threshold else "REGRESSION"
         print("check %s: wall ms/sim-hour median %.1f [%.1f, %.1f] vs base %.1f [%.1f, %.1f];"
-              " median growth per pair %+.1f%%, change faster in %d/%d pairs [%s]"
+              " median growth per pair %+.1f%%, change faster in %d/%d pairs;"
+              " peak RSS median %.1f MB vs base %.1f MB [%s]"
               % (scenario, cmed, cq1, cq3, bmed, bq1, bq3, growth * 100.0, wins, len(base),
-                 verdict))
+                 statistics.median(rss["change"][scenario]),
+                 statistics.median(rss["base"][scenario]), verdict))
         if verdict != "OK":
             failures.append(scenario)
     if failures:
